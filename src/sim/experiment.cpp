@@ -26,6 +26,7 @@
 #include "sim/thread_pool.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
+#include "workload/trace_cache.hpp"
 
 namespace bingo
 {
@@ -90,6 +91,18 @@ substrateFingerprint(const SystemConfig &config)
         config.dram.t_cas, config.dram.t_rcd, config.dram.t_rp,
         config.dram.data_transfer);
     return buf;
+}
+
+/**
+ * The config a run's System is built from: the run's seed, plus the
+ * BINGO_CHAOS spec unless the config sets chaos itself.
+ */
+SystemConfig
+runConfig(SystemConfig config, const ExperimentOptions &options)
+{
+    config.seed = options.seed;
+    chaos::applyEnvChaos(config);
+    return config;
 }
 
 struct BaselineSlot
@@ -191,9 +204,7 @@ runJobWithRetries(const SweepJob &job, std::size_t index,
         try {
             if (fault_hook)
                 fault_hook(index, attempt);
-            SystemConfig cfg = job.config;
-            cfg.seed = job.options.seed;
-            chaos::applyEnvChaos(cfg);
+            const SystemConfig cfg = runConfig(job.config, job.options);
             cfg.validate();
             System system(cfg, job.workload);
             if (telemetry::requested())
@@ -309,9 +320,7 @@ runBatchLockstep(
         m.index = index;
         m.start = std::chrono::steady_clock::now();
         try {
-            SystemConfig cfg = job.config;
-            cfg.seed = job.options.seed;
-            chaos::applyEnvChaos(cfg);
+            const SystemConfig cfg = runConfig(job.config, job.options);
             cfg.validate();
             m.system = std::make_unique<System>(cfg, job.workload);
             if (telemetry::requested())
@@ -404,7 +413,8 @@ runBatchLockstep(
 /**
  * Shared sweep engine: run the jobs selected by `indices` (indices
  * into `jobs`, preserving the caller's numbering for collect/hook/
- * outcomes) plus the deduplicated baselines they request.
+ * outcomes) plus the deduplicated baselines they request, grouped by
+ * trace stream, under a trace-cache plan of every System it builds.
  */
 void
 runIndexed(const std::vector<SweepJob> &jobs,
@@ -431,26 +441,12 @@ runIndexed(const std::vector<SweepJob> &jobs,
             runJobWithRetries(jobs[i], i, collect, fault_hook);
     };
 
-    // Distinct baselines requested by the jobs, deduplicated so each
-    // is submitted (and computed) once. A baseline warm failure is
-    // swallowed here: the bench's own baselineFor call will retry it
-    // and report the error in context.
-    std::vector<std::size_t> baseline_of;  ///< Job index per baseline.
-    {
-        std::map<std::string, std::size_t> seen;
-        for (std::size_t i : indices) {
-            if (!jobs[i].compare_baseline)
-                continue;
-            seen.try_emplace(
-                baselineKey(jobs[i].workload, jobs[i].options), i);
-        }
-        for (const auto &[key, index] : seen)
-            baseline_of.push_back(index);
-    }
     // Baselines always run on the default substrate, matching the
     // benches' direct baselineFor(workload, SystemConfig{}, options)
     // calls — a job may sweep substrate knobs (e.g. LLC replacement)
-    // while its reference point stays the Table I machine.
+    // while its reference point stays the Table I machine. A baseline
+    // warm failure is swallowed here: the bench's own baselineFor call
+    // will retry it and report the error in context.
     const auto warmOne = [&](std::size_t i) {
         if (sweepInterrupted())
             return;
@@ -461,63 +457,106 @@ runIndexed(const std::vector<SweepJob> &jobs,
         }
     };
 
-    // Batch formation: group jobs that share a trace stream identity
-    // — exactly the baseline key (workload, warmup, measure, seed) —
-    // and chunk each group into lockstep units of BINGO_BATCH. A
-    // fault hook pins the sweep to singleton units: the hook's
-    // (index, attempt) contract assumes each job starts on its own
-    // runJobWithRetries call.
-    const unsigned batch = fault_hook ? 1 : sweepBatchSize();
-    std::vector<std::vector<std::size_t>> units;
-    if (batch <= 1) {
-        units.reserve(indices.size());
-        for (std::size_t i : indices)
-            units.push_back({i});
-    } else {
-        std::map<std::string, std::vector<std::size_t>> groups;
-        std::vector<std::string> order;  ///< First-seen group order.
+    // Group jobs that share a trace stream identity — exactly the
+    // baseline key (workload, warmup, measure, seed) — in first-seen
+    // order. A group's baseline, if any of its jobs asks for one, is
+    // computed once.
+    struct Group
+    {
+        std::vector<std::size_t> jobs;
+        bool baseline = false;
+    };
+    std::vector<Group> groups;
+    {
+        std::map<std::string, std::size_t> slot;
         for (std::size_t i : indices) {
-            auto [it, inserted] = groups.try_emplace(
-                baselineKey(jobs[i].workload, jobs[i].options));
+            const auto [it, inserted] = slot.try_emplace(
+                baselineKey(jobs[i].workload, jobs[i].options),
+                groups.size());
             if (inserted)
-                order.push_back(it->first);
-            it->second.push_back(i);
-        }
-        for (const std::string &key : order) {
-            const std::vector<std::size_t> &group = groups[key];
-            for (std::size_t pos = 0; pos < group.size();
-                 pos += batch) {
-                const std::size_t end =
-                    std::min(pos + batch, group.size());
-                units.emplace_back(group.begin() + pos,
-                                   group.begin() + end);
-            }
+                groups.emplace_back();
+            Group &group = groups[it->second];
+            group.jobs.push_back(i);
+            group.baseline = group.baseline || jobs[i].compare_baseline;
         }
     }
-    const auto runUnit = [&](const std::vector<std::size_t> &unit) {
-        if (unit.size() == 1) {
-            runOne(unit[0]);
+
+    // Plan the trace cache: every System the sweep builds, so a stream
+    // only one of them replays (or one too long to keep under the
+    // budget) skips the cache. A requested baseline counts even when
+    // it is memoized or journaled: overcounting only keeps a stream
+    // cached as it would be without a plan. A config the System would
+    // reject (a bad BINGO_CHAOS spec) fails its job on its own and
+    // plans nothing.
+    std::vector<TraceDemand> demand;
+    const auto plan = [&](const std::string &workload,
+                          const SystemConfig &config,
+                          const ExperimentOptions &options) {
+        TraceDemand d;
+        try {
+            d.translated = System::replaysTranslatedStreams(
+                runConfig(config, options));
+        } catch (...) {
             return;
         }
-        runBatchLockstep(jobs, unit, collect, outcomes);
+        d.workload = workload;
+        d.seed = options.seed;
+        d.cores = config.num_cores;
+        d.records =
+            options.warmup_instructions + options.measure_instructions;
+        demand.push_back(std::move(d));
+    };
+    for (const Group &group : groups) {
+        const SweepJob &first = jobs[group.jobs.front()];
+        if (group.baseline)
+            plan(first.workload, SystemConfig{}, first.options);
+        for (std::size_t i : group.jobs)
+            plan(jobs[i].workload, jobs[i].config, jobs[i].options);
+    }
+    const TraceCache::Plan trace_plan(TraceCache::instance(),
+                                      std::move(demand));
+
+    // One unit list in group order: each group's baseline right before
+    // its jobs, so every use of a stream falls close together and its
+    // cached buffer is still resident for the last one. The jobs are
+    // chunked into lockstep units of BINGO_BATCH. A fault hook pins the
+    // sweep to singleton units: the hook's (index, attempt) contract
+    // assumes each job starts on its own runJobWithRetries call.
+    struct Unit
+    {
+        bool baseline = false;  ///< Warm jobs[members[0]]'s baseline.
+        std::vector<std::size_t> members;
+    };
+    const std::size_t batch = fault_hook ? 1 : sweepBatchSize();
+    std::vector<Unit> units;
+    for (const Group &group : groups) {
+        if (group.baseline)
+            units.push_back({true, {group.jobs.front()}});
+        for (std::size_t pos = 0; pos < group.jobs.size(); pos += batch) {
+            const std::size_t end = std::min(pos + batch, group.jobs.size());
+            units.push_back({false, {group.jobs.begin() + pos,
+                                     group.jobs.begin() + end}});
+        }
+    }
+    const auto runUnit = [&](const Unit &unit) {
+        if (unit.baseline)
+            warmOne(unit.members[0]);
+        else if (unit.members.size() == 1)
+            runOne(unit.members[0]);
+        else
+            runBatchLockstep(jobs, unit.members, collect, outcomes);
     };
 
     const unsigned threads =
         num_threads > 0 ? num_threads : sweepJobCount();
     if (threads <= 1) {
-        for (std::size_t i : baseline_of)
-            warmOne(i);
-        for (const auto &unit : units)
+        for (const Unit &unit : units)
             runUnit(unit);
         return;
     }
 
     ThreadPool pool(threads);
-    // Baselines first: they gate the metrics of every job that set
-    // compare_baseline, so get them onto the workers before the bulk.
-    for (std::size_t i : baseline_of)
-        pool.submit([&warmOne, i] { warmOne(i); });
-    for (const auto &unit : units)
+    for (const Unit &unit : units)
         pool.submit([&runUnit, &unit] { runUnit(unit); });
     pool.wait();
 }
@@ -627,9 +666,7 @@ RunResult
 runWorkload(const std::string &workload, const SystemConfig &config,
             const ExperimentOptions &options)
 {
-    SystemConfig cfg = config;
-    cfg.seed = options.seed;
-    chaos::applyEnvChaos(cfg);
+    const SystemConfig cfg = runConfig(config, options);
     cfg.validate();
     System system(cfg, workload);
     system.run(options.warmup_instructions,

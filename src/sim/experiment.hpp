@@ -192,7 +192,11 @@ using SweepFaultHook =
  * outcome while every other job still completes. With
  * BINGO_JOURNAL_DIR set, already-journaled jobs are skipped and
  * completed jobs are journaled as they finish. `num_threads` 0 means
- * sweepJobCount(); 1 runs serially on the calling thread.
+ * sweepJobCount(); 1 runs serially on the calling thread. Jobs are
+ * dispatched grouped by trace stream (workload, run lengths, seed),
+ * each group's baseline right before its jobs, and the trace cache
+ * keeps only the streams the sweep replays more than once (see
+ * workload/trace_cache.hpp).
  */
 std::vector<JobOutcome>
 runSweepOutcomes(const std::vector<SweepJob> &jobs,

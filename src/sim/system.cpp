@@ -68,15 +68,20 @@ System::System(const SystemConfig &config, const std::string &workload)
     // must corrupt *virtual* addresses, so those runs take the
     // virtual buffer and layer corruption + translation per System in
     // build(). Either way sharing cannot couple runs.
-    const bool trace_chaos =
-        config.chaos.enabled &&
-        (config.chaos.site_mask &
-         chaos::siteBit(chaos::ChaosSite::Trace)) != 0;
+    const bool translated = replaysTranslatedStreams(config);
     for (CoreId c = 0; c < config.num_cores; ++c) {
-        sources.push_back(acquireWorkloadSource(
-            workload, c, config.seed, /*translated=*/!trace_chaos));
+        sources.push_back(
+            acquireWorkloadSource(workload, c, config.seed, translated));
     }
-    build(std::move(sources), /*pre_translated=*/!trace_chaos);
+    build(std::move(sources), /*pre_translated=*/translated);
+}
+
+bool
+System::replaysTranslatedStreams(const SystemConfig &config)
+{
+    return !config.chaos.enabled ||
+           (config.chaos.site_mask &
+            chaos::siteBit(chaos::ChaosSite::Trace)) == 0;
 }
 
 System::System(const SystemConfig &config,

@@ -48,6 +48,13 @@ class System
            std::vector<std::unique_ptr<TraceSource>> sources);
 
     /**
+     * Whether the workload constructor acquires pre-translated
+     * (physical-address) trace streams for `config`: true unless
+     * trace-site chaos must corrupt the virtual addresses first.
+     */
+    static bool replaysTranslatedStreams(const SystemConfig &config);
+
+    /**
      * Simulate `warmup_instructions` per core (warming caches and
      * predictor tables), reset all statistics, then simulate
      * `measure_instructions` per core. Cores that reach their quota

@@ -1,5 +1,6 @@
 #include "workload/trace_cache.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -97,8 +98,7 @@ TraceBuffer::extendTo(std::size_t needed)
             allocated_chunks_.store(chunks_.size(),
                                     std::memory_order_relaxed);
             if (total_bytes_ != nullptr) {
-                total_bytes_->fetch_add(kChunkRecords *
-                                            (sizeof(TraceRecord) + 1),
+                total_bytes_->fetch_add(kChunkRecords * kRecordBytes,
                                         std::memory_order_relaxed);
             }
         }
@@ -197,19 +197,24 @@ TraceCache::acquire(const std::string &workload, CoreId core,
                     std::uint64_t seed, bool translated)
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (budget_bytes_ == 0) {
+    Key key{workload, core, seed, translated};
+    const PlannedUse planned = plannedUse(key);
+    const auto bypass = [&] {
         bypasses_.fetch_add(1, std::memory_order_relaxed);
         lock.unlock();
         return makeStream(workload, core, seed, translated);
-    }
+    };
+    if (budget_bytes_ == 0 || planned.pinned_bytes > budget_bytes_)
+        return bypass();
 
-    Key key{workload, core, seed, translated};
     auto it = buffers_.find(key);
     if (it != buffers_.end()) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
         return std::make_unique<CachedTraceSource>(it->second.buffer);
     }
+    if (planned.systems == 1)
+        return bypass();
 
     misses_.fetch_add(1, std::memory_order_relaxed);
     auto buffer = std::make_shared<TraceBuffer>(
@@ -219,6 +224,28 @@ TraceCache::acquire(const std::string &workload, CoreId core,
     buffers_.emplace(std::move(key), Slot{buffer, lru_.begin()});
     evictOverBudget();
     return std::make_unique<CachedTraceSource>(std::move(buffer));
+}
+
+TraceCache::PlannedUse
+TraceCache::plannedUse(const Key &key) const
+{
+    PlannedUse sum;
+    for (const Plan *plan = plans_; plan != nullptr; plan = plan->next_) {
+        const auto [first, last] =
+            std::equal_range(plan->systems_.begin(), plan->systems_.end(),
+                             key, StreamLess{});
+        for (auto it = first; it != last; ++it) {
+            if (key.core >= it->cores)
+                continue;
+            ++sum.systems;
+            sum.pinned_bytes =
+                std::max<std::uint64_t>(sum.pinned_bytes,
+                                        std::uint64_t{it->cores} *
+                                            it->records *
+                                            TraceBuffer::kRecordBytes);
+        }
+    }
+    return sum;
 }
 
 void
@@ -292,6 +319,24 @@ TraceCache::clear()
     evictions_.store(0, std::memory_order_relaxed);
     bypasses_.store(0, std::memory_order_relaxed);
     records_generated_.store(0, std::memory_order_relaxed);
+}
+
+TraceCache::Plan::Plan(TraceCache &cache, std::vector<TraceDemand> systems)
+    : cache_(cache), systems_(std::move(systems))
+{
+    std::sort(systems_.begin(), systems_.end(), StreamLess{});
+    std::lock_guard<std::mutex> lock(cache_.mutex_);
+    next_ = cache_.plans_;
+    cache_.plans_ = this;
+}
+
+TraceCache::Plan::~Plan()
+{
+    std::lock_guard<std::mutex> lock(cache_.mutex_);
+    Plan **link = &cache_.plans_;
+    while (*link != this)
+        link = &(*link)->next_;
+    *link = next_;
 }
 
 std::unique_ptr<TraceSource>

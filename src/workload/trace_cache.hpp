@@ -28,8 +28,29 @@
  * Budget: BINGO_TRACE_CACHE_MB bounds retained bytes (default 512,
  * 0 disables caching entirely). Eviction is LRU over buffers not
  * referenced by any live source; buffers in use are never evicted, so
- * the budget can transiently overshoot while a wide sweep holds many
- * workloads open.
+ * the budget can transiently overshoot while many Systems hold
+ * unplanned streams open (planned ones never do; see below).
+ *
+ * Sweep plans: caching pays only for a stream that is replayed more
+ * than once, and a buffer in use is never evicted. So the sweep runner
+ * registers a Plan listing every System it is about to build (its
+ * pending jobs plus the baselines it will compute); the plan lives
+ * exactly as long as the sweep call, including when it throws.
+ * - Identity: a plan counts uses per cache key — (workload, core,
+ *   seed, translated) — so a System with N cores plans N streams.
+ *   Run length is not part of the key; a stream remembers the largest
+ *   System that plans it. Concurrent sweeps' plans add up.
+ * - Single use: a stream no cached buffer holds and that is planned for
+ *   exactly one System is served by a private generator instead, so
+ *   the core reads generator output without the buffer fill.
+ * - Budget: a stream whose largest planned System would pin more than
+ *   the budget — cores x (warm-up + measure) records x 25 bytes (the
+ *   record plus its run-length byte) — is always served privately: a
+ *   pinned buffer cannot be evicted, so caching it would overshoot.
+ * - Unplanned acquisitions (direct System construction, examples,
+ *   bingo_worker jobs) are cached exactly as without a plan.
+ * Every private-generator acquisition counts in
+ * TraceCacheStats::bypasses.
  *
  * Determinism: a replay source yields bit-for-bit the records the
  * generator would, so journals are identical with the cache on or
@@ -47,6 +68,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -62,10 +84,25 @@ struct TraceCacheStats
     std::uint64_t hits = 0;        ///< acquire() served from cache.
     std::uint64_t misses = 0;      ///< acquire() built a new buffer.
     std::uint64_t evictions = 0;   ///< Buffers dropped for budget.
-    std::uint64_t bypasses = 0;    ///< acquire() with caching off.
+    /// acquire() served by a private generator: caching off, a single
+    /// planned use, or a plan over the budget.
+    std::uint64_t bypasses = 0;
     std::uint64_t buffers = 0;     ///< Buffers currently retained.
     std::uint64_t bytes = 0;       ///< Bytes currently retained.
     std::uint64_t records_generated = 0;  ///< Total records produced.
+};
+
+/** The trace streams one System acquires, as a sweep plans them. */
+struct TraceDemand
+{
+    std::string workload;
+    std::uint64_t seed = 0;
+    /// Physical-address streams (see TraceCache::acquire).
+    bool translated = true;
+    /// Cores 0..cores-1 each acquire one stream.
+    unsigned cores = 1;
+    /// Records each core replays: warm-up + measure instructions.
+    std::uint64_t records = 0;
 };
 
 /**
@@ -88,6 +125,8 @@ class TraceBuffer
     /// Chunk-directory capacity, reserved up front so the directory
     /// never reallocates under readers: 2^14 chunks = 2^30 records.
     static constexpr std::size_t kMaxChunks = std::size_t{1} << 14;
+    /// Bytes retained per record: the record plus its run-length byte.
+    static constexpr std::size_t kRecordBytes = sizeof(TraceRecord) + 1;
 
     /**
      * @param generator The stream's sole generator; owned.
@@ -128,7 +167,7 @@ class TraceBuffer
     bytesReserved() const
     {
         return allocated_chunks_.load(std::memory_order_relaxed) *
-               kChunkRecords * (sizeof(TraceRecord) + 1);
+               kChunkRecords * kRecordBytes;
     }
 
     /** Records generated so far (tests/diagnostics). */
@@ -242,10 +281,13 @@ class TraceCache
     /** The process-wide instance (budget initialized from env). */
     static TraceCache &instance();
 
+    class Plan;
+
     /**
      * Trace source for `workload` on `core` under `seed`: a replay of
      * the shared buffer when caching is on, a private generator when
-     * it is off (budget 0). With `translated` set, records carry
+     * it is off (budget 0) or a registered Plan says caching cannot
+     * pay (see the file comment). With `translated` set, records carry
      * physical addresses — the stream is the generator composed with
      * the seed-derived first-touch translation, so it is exactly as
      * deterministic (and as cacheable) as the virtual one, and replay
@@ -296,6 +338,37 @@ class TraceCache
         std::list<Key>::iterator lru_pos;
     };
 
+    /** What the registered plans say about one stream. */
+    struct PlannedUse
+    {
+        std::uint64_t systems = 0;       ///< Systems that acquire it.
+        std::uint64_t pinned_bytes = 0;  ///< Largest System's trace.
+    };
+
+    /** Sum of the registered plans' uses of `key` (locked). */
+    PlannedUse plannedUse(const Key &key) const;
+
+    /** Orders demands and keys by stream, ignoring the core. */
+    struct StreamLess
+    {
+        static auto
+        rank(const TraceDemand &d)
+        {
+            return std::tie(d.workload, d.seed, d.translated);
+        }
+        static auto
+        rank(const Key &k)
+        {
+            return std::tie(k.workload, k.seed, k.translated);
+        }
+        template <typename A, typename B>
+        bool
+        operator()(const A &a, const B &b) const
+        {
+            return rank(a) < rank(b);
+        }
+    };
+
     /** Evict LRU unreferenced buffers while over budget (locked). */
     void evictOverBudget();
 
@@ -303,6 +376,7 @@ class TraceCache
     std::uint64_t budget_bytes_;
     std::unordered_map<Key, Slot, KeyHash> buffers_;
     std::list<Key> lru_;
+    Plan *plans_ = nullptr;  ///< Registered plans, linked by next_.
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> evictions_{0};
@@ -312,10 +386,36 @@ class TraceCache
 };
 
 /**
+ * A sweep's plan, registered with `cache` for the object's lifetime:
+ * `systems` lists every System the sweep will build (see the file
+ * comment for how acquire() uses it). The plan keeps that list sorted
+ * by stream and links itself into the cache's list of plans, so
+ * registering allocates nothing under the cache's mutex.
+ */
+class TraceCache::Plan
+{
+  public:
+    Plan(TraceCache &cache, std::vector<TraceDemand> systems);
+    ~Plan();
+
+    Plan(const Plan &) = delete;
+    Plan &operator=(const Plan &) = delete;
+
+  private:
+    friend class TraceCache;
+
+    TraceCache &cache_;
+    /// Sorted by stream; immutable once registered, read under the
+    /// cache's mutex.
+    std::vector<TraceDemand> systems_;
+    Plan *next_ = nullptr;  ///< Next registered plan.
+};
+
+/**
  * The System-facing entry point: makeWorkload() through the trace
- * cache (or directly, when caching is disabled). With `translated`
- * set, the stream is pre-composed with the seed-derived first-touch
- * translation (see TraceCache::acquire).
+ * cache (or directly, when caching is off or a sweep plan bypasses
+ * it). With `translated` set, the stream is pre-composed with the
+ * seed-derived first-touch translation (see TraceCache::acquire).
  */
 std::unique_ptr<TraceSource>
 acquireWorkloadSource(const std::string &workload, CoreId core,

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "chaos/chaos.hpp"
@@ -37,6 +38,7 @@
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/system.hpp"
+#include "workload/trace_cache.hpp"
 
 namespace bingo
 {
@@ -703,6 +705,82 @@ TEST(BatchedChaosDeterminism, IdenticalFaultScheduleAcrossWidths)
     }
     // The injector must actually have been injecting.
     EXPECT_GT(total_faults, 0u);
+}
+
+// --- Planned trace streams ---------------------------------------------
+
+/**
+ * A sweep mixing every case of the sweep runner's trace plan: a
+ * single-use stream (Zeus), a stream two jobs share (em3d), and a
+ * compare_baseline job whose 4-core baseline shares core 0's stream
+ * with it and uses cores 1-3 alone.
+ */
+std::vector<SweepJob>
+plannedStreamJobs()
+{
+    std::vector<SweepJob> jobs;
+    const auto add = [&jobs](const char *workload, PrefetcherKind kind,
+                             bool compare_baseline) {
+        SweepJob job;
+        job.workload = workload;
+        job.config = SystemConfig::singleCore();
+        job.config.prefetcher.kind = kind;
+        job.options.warmup_instructions = 2000;
+        job.options.measure_instructions = 5000;
+        job.options.seed = 42;
+        job.compare_baseline = compare_baseline;
+        jobs.push_back(job);
+    };
+    add("Zeus", PrefetcherKind::Bingo, false);
+    add("em3d", PrefetcherKind::None, false);
+    add("em3d", PrefetcherKind::Sms, false);
+    add("Streaming", PrefetcherKind::Bop, true);
+    return jobs;
+}
+
+/**
+ * Journal of plannedStreamJobs() swept at a trace-cache budget and
+ * worker count. The sweep runs in a forked child, so the baseline memo
+ * and the trace cache start empty as in a fresh bench process (a
+ * memoized baseline would not be journaled again).
+ */
+std::map<std::string, std::string>
+plannedSweepJournal(std::uint64_t budget, unsigned num_threads)
+{
+    const TempDir dir("planned" + std::to_string(budget) + "x" +
+                      std::to_string(num_threads));
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::setenv("BINGO_JOURNAL_DIR", dir.path().c_str(), 1);
+        TraceCache::instance().setBudgetBytes(budget);
+        bool ok = true;
+        for (const JobOutcome &outcome :
+             runSweepOutcomes(plannedStreamJobs(), num_threads))
+            ok = ok && outcome.status == JobStatus::Ok;
+        ::_exit(ok ? 0 : 1);
+    }
+    int status = 0;
+    EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "budget " << budget << ", " << num_threads << " threads";
+    return journalSnapshot(dir.path());
+}
+
+/**
+ * The plan decides only where a core's records come from — a shared
+ * buffer or a private generator — never what they are: the journals
+ * match byte for byte with caching off and at the default budget, at
+ * one and two threads.
+ */
+TEST(PlannedStreamDeterminism, JournalsIdenticalAcrossBudgetsAndThreads)
+{
+    constexpr std::uint64_t kDefaultBudget = std::uint64_t{512} << 20;
+    const auto reference = plannedSweepJournal(0, 1);
+    // One record per job, one for the baseline, and manifest.sweep.
+    ASSERT_EQ(reference.size(), plannedStreamJobs().size() + 2);
+    EXPECT_EQ(reference, plannedSweepJournal(kDefaultBudget, 1));
+    EXPECT_EQ(reference, plannedSweepJournal(0, 2));
+    EXPECT_EQ(reference, plannedSweepJournal(kDefaultBudget, 2));
 }
 
 } // namespace

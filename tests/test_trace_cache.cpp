@@ -3,8 +3,10 @@
  * Trace cache tests: replay must be bit-identical to direct
  * generation (including across chunk boundaries), acquire must hit
  * and miss when it should, the byte budget must evict only
- * unreferenced buffers, and a whole simulation must not care whether
- * the cache is on or off.
+ * unreferenced buffers, a sweep's plan must keep single-use and
+ * over-budget streams out of the cache for exactly the sweep's
+ * lifetime, and a whole simulation must not care whether the cache is
+ * on or off.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +15,10 @@
 #include <memory>
 #include <vector>
 
+#include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/system.hpp"
+#include "sim/translation.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace_cache.hpp"
 
@@ -137,6 +141,114 @@ TEST_F(TraceCacheTest, EvictionRespectsBudgetAndPinning)
     stats = TraceCache::instance().stats();
     EXPECT_GT(stats.evictions, evictions_pinned);
     EXPECT_LE(stats.bytes, TraceCache::instance().budgetBytes());
+}
+
+/** One planned System of `cores` cores replaying (workload, seed). */
+TraceDemand
+demand(const char *workload, std::uint64_t seed, unsigned cores = 1,
+       std::uint64_t records = 30000)
+{
+    TraceDemand d;
+    d.workload = workload;
+    d.seed = seed;
+    d.cores = cores;
+    d.records = records;
+    return d;
+}
+
+TEST_F(TraceCacheTest, SinglePlannedUseBypassesCache)
+{
+    TraceCache &cache = TraceCache::instance();
+    const TraceCache::Plan plan(cache, {demand("Zeus", 5)});
+    auto planned = cache.acquire("Zeus", 0, 5, /*translated=*/true);
+    const TraceCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.bypasses, 1u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.buffers, 0u);
+    EXPECT_EQ(stats.bytes, 0u);
+    // The private stream is the generator composed with the
+    // seed-derived translation, exactly as a cached one would be.
+    TranslatingSource direct(makeWorkload("Zeus", 0, 5),
+                             AddressTranslator(5));
+    for (std::size_t i = 0; i < 20000; ++i)
+        expectSameRecord(planned->next(), direct.next(), i);
+}
+
+TEST_F(TraceCacheTest, TwoPlannedUsesMissThenHit)
+{
+    TraceCache &cache = TraceCache::instance();
+    // A 2-core and a 1-core System: core 0's stream has two uses,
+    // core 1's only one.
+    const TraceCache::Plan plan(
+        cache, {demand("Streaming", 3, 2), demand("Streaming", 3)});
+    auto first = cache.acquire("Streaming", 0, 3, true);
+    auto second = cache.acquire("Streaming", 0, 3, true);
+    auto lone = cache.acquire("Streaming", 1, 3, true);
+    const TraceCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.bypasses, 1u);
+    EXPECT_EQ(stats.buffers, 1u);
+}
+
+TEST_F(TraceCacheTest, PlanOverBudgetBypassesEveryAcquisition)
+{
+    TraceCache &cache = TraceCache::instance();
+    // Each System would pin 2 cores x 100 k records x 25 B = 5 MB.
+    cache.setBudgetBytes(std::uint64_t{1} << 20);
+    const TraceCache::Plan plan(cache,
+                                {demand("em3d", 1, 2, 100000),
+                                 demand("em3d", 1, 2, 100000)});
+    std::vector<std::unique_ptr<TraceSource>> held;
+    for (int system = 0; system < 2; ++system) {
+        for (CoreId c = 0; c < 2; ++c) {
+            held.push_back(cache.acquire("em3d", c, 1, true));
+            held.back()->next();
+        }
+    }
+    const TraceCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.bypasses, 4u);
+    EXPECT_EQ(stats.misses + stats.hits, 0u);
+    EXPECT_EQ(stats.bytes, 0u);
+}
+
+/**
+ * The sweep runner plans every System it builds, baselines included,
+ * and nothing after the sweep: a single-use stream bypasses, a stream
+ * two jobs share misses then hits, and a 1-core job shares core 0 with
+ * its 4-core baseline while cores 1-3 bypass. Once the sweep returns,
+ * the single-use stream caches normally.
+ */
+TEST_F(TraceCacheTest, SweepPlanEndsWithTheSweep)
+{
+    std::vector<SweepJob> jobs;
+    for (const auto &[workload, kind] :
+         {std::pair{"Zeus", PrefetcherKind::None},
+          std::pair{"em3d", PrefetcherKind::None},
+          std::pair{"em3d", PrefetcherKind::Bingo},
+          std::pair{"Streaming", PrefetcherKind::Bop}}) {
+        SweepJob job;
+        job.workload = workload;
+        job.config = SystemConfig::singleCore();
+        job.config.prefetcher.kind = kind;
+        job.options.warmup_instructions = 2000;
+        job.options.measure_instructions = 5000;
+        job.options.seed = 11;
+        job.compare_baseline = job.workload == "Streaming";
+        jobs.push_back(job);
+    }
+    TraceCache &cache = TraceCache::instance();
+    for (const JobOutcome &outcome : runSweepOutcomes(jobs, 2))
+        ASSERT_TRUE(outcome.ok()) << outcome.error;
+    TraceCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.bypasses, 4u);
+    EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.hits, 2u);
+
+    auto after = cache.acquire("Zeus", 0, 11, true);
+    stats = cache.stats();
+    EXPECT_EQ(stats.bypasses, 4u);
+    EXPECT_EQ(stats.misses, 3u);
 }
 
 /** One short simulation with a given cache budget. */

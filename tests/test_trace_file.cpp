@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+
+#include <unistd.h>
 
 #include "common/rng.hpp"
 #include "workload/trace_file.hpp"
@@ -18,10 +21,18 @@ namespace
 class TraceFileTest : public ::testing::Test
 {
   protected:
+    /**
+     * One file per test and process: ctest -j runs every test as its
+     * own process, so a shared name would race between them.
+     */
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "bingo_trace_test.bin";
+        path_ = ::testing::TempDir() + "bingo_trace_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                "_" + std::to_string(::getpid()) + ".bin";
     }
 
     void
