@@ -22,7 +22,6 @@
 #include "common/event_queue.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "common/table.hpp"
 #include "mem/dram.hpp"
 #include "prefetch/bingo.hpp"
@@ -229,25 +228,14 @@ BM_WorkloadGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_WorkloadGeneration);
 
-/** Pin the level named by a benchmark Arg: 0 scalar, 1 detected. */
-simd::Level
-pinLevel(std::int64_t arg)
-{
-    const simd::Level level =
-        arg == 0 ? simd::Level::Scalar : simd::detectedLevel();
-    simd::setLevel(level);
-    return level;
-}
-
 /**
  * The batch footprint reductions behind pattern-table aggregation:
  * union / intersection / popcount over a candidate set of raw
- * footprint words. Arg(0) scalar oracle, Arg(1) widest vector level.
+ * footprint words.
  */
 void
 BM_FootprintBatchOps(benchmark::State &state)
 {
-    const simd::Level level = pinLevel(state.range(0));
     Rng rng(51);
     std::array<std::uint64_t, 16> raws;
     for (auto &raw : raws)
@@ -261,40 +249,8 @@ BM_FootprintBatchOps(benchmark::State &state)
             Footprint::totalCount(raws.data(), raws.size()));
     }
     state.SetItemsProcessed(state.iterations() * raws.size() * 3);
-    state.SetLabel(simd::levelName(level));
-    simd::setLevel(simd::detectedLevel());
 }
-BENCHMARK(BM_FootprintBatchOps)->Arg(0)->Arg(1);
-
-/**
- * The SoA way-tag compare at the heart of every cache lookup: find
- * one 64-bit block key among the ways of a set. Half the probes hit,
- * half miss (key 3 is never block-aligned).
- */
-void
-BM_WayTagLookupSimd(benchmark::State &state)
-{
-    const simd::Level level = pinLevel(state.range(0));
-    constexpr std::size_t kSets = 4096;
-    constexpr std::size_t kWays = 16;
-    Rng rng(57);
-    std::vector<std::uint64_t> tags(kSets * kWays);
-    for (auto &tag : tags)
-        tag = blockAlign(rng.next() & 0xffffffffULL);
-    for (auto _ : state) {
-        const std::size_t set = rng.below(kSets);
-        const std::uint64_t key =
-            (rng.next() & 1) != 0
-                ? tags[set * kWays + rng.below(kWays)]
-                : 3;
-        benchmark::DoNotOptimize(simd::findEqual64(
-            tags.data() + set * kWays, kWays, key));
-    }
-    state.SetItemsProcessed(state.iterations());
-    state.SetLabel(simd::levelName(level));
-    simd::setLevel(simd::detectedLevel());
-}
-BENCHMARK(BM_WayTagLookupSimd)->Arg(0)->Arg(1);
+BENCHMARK(BM_FootprintBatchOps);
 
 /**
  * Replaying an already-generated trace from the shared cache — the
@@ -446,66 +402,6 @@ BENCHMARK(BM_MainLoopComputeHeavy)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-/** Four fresh trace-sharing Systems (the lockstep bench members). */
-std::vector<std::unique_ptr<System>>
-makeBatchMembers()
-{
-    std::vector<std::unique_ptr<System>> members;
-    for (unsigned i = 0; i < 4; ++i) {
-        SystemConfig config = SystemConfig::singleCore();
-        config.prefetcher.kind = PrefetcherKind::None;
-        members.push_back(
-            std::make_unique<System>(config, "Data Serving"));
-    }
-    return members;
-}
-
-/**
- * Four Systems sharing one trace stream, driven to completion either
- * back to back (Arg 0) or in round-robin advance() slices (Arg 1) —
- * the two strategies the sweep runner picks between (BINGO_BATCH).
- * The lockstep mode consumes each shared trace-cache chunk with the
- * whole batch while it is hot instead of re-walking it cold per run.
- */
-void
-BM_BatchedMainLoop(benchmark::State &state)
-{
-    const bool batched = state.range(0) != 0;
-    constexpr std::uint64_t kInstructions = 20000;
-    Cycle last = 0;
-    for (auto _ : state) {
-        auto members = makeBatchMembers();
-        if (batched) {
-            for (auto &m : members)
-                m->beginRun(0, kInstructions);
-            std::size_t running = members.size();
-            while (running > 0) {
-                for (auto &m : members) {
-                    if (m == nullptr)
-                        continue;
-                    if (m->advance(8192)) {
-                        last = m->now();
-                        m.reset();
-                        --running;
-                    }
-                }
-            }
-        } else {
-            for (auto &m : members) {
-                m->run(0, kInstructions);
-                last = m->now();
-            }
-        }
-    }
-    state.counters["sim_cycles"] =
-        benchmark::Counter(static_cast<double>(last));
-    state.SetItemsProcessed(state.iterations() * 4 * kInstructions);
-}
-BENCHMARK(BM_BatchedMainLoop)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 /**
  * The typed fill-completion dispatch against the pre-typed shape: a
  * miss's completion either invoked directly (Arg 1, one switch on the
@@ -592,106 +488,6 @@ timeIt(unsigned iters, const Fn &fn)
 }
 
 /**
- * Scalar vs widest-level wall time of the two structure kernels the
- * SIMD layer targets, as a JSON fragment: the numbers the perf-smoke
- * CI step tracks alongside the loop speedups.
- */
-std::string
-microKernelSummary()
-{
-    constexpr unsigned kIters = 200000;
-    Rng rng(61);
-    std::array<std::uint64_t, 16> raws;
-    for (auto &raw : raws)
-        raw = rng.next() & ((1ULL << kBlocksPerRegion) - 1);
-    std::vector<std::uint64_t> tags(4096 * 16);
-    for (auto &tag : tags)
-        tag = blockAlign(rng.next() & 0xffffffffULL);
-
-    const auto footprints = [&raws] {
-        benchmark::DoNotOptimize(
-            Footprint::unionOf(raws.data(), raws.size()));
-        benchmark::DoNotOptimize(
-            Footprint::totalCount(raws.data(), raws.size()));
-    };
-    std::uint64_t probe = 0;
-    const auto way_find = [&tags, &probe] {
-        const std::size_t set = (probe += 0x9E3779B9u) & 4095;
-        benchmark::DoNotOptimize(
-            simd::findEqual64(tags.data() + set * 16, 16, 3));
-    };
-
-    simd::setLevel(simd::Level::Scalar);
-    const double fp_scalar = timeIt(kIters, footprints);
-    const double way_scalar = timeIt(kIters, way_find);
-    simd::setLevel(simd::detectedLevel());
-    const double fp_vector = timeIt(kIters, footprints);
-    const double way_vector = timeIt(kIters, way_find);
-
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        ",\"simd\":{\"detected\":\"%s\","
-        "\"footprint_batch_scalar_seconds\":%.6f,"
-        "\"footprint_batch_vector_seconds\":%.6f,"
-        "\"footprint_batch_speedup\":%.3f,"
-        "\"way_tag_find_scalar_seconds\":%.6f,"
-        "\"way_tag_find_vector_seconds\":%.6f,"
-        "\"way_tag_find_speedup\":%.3f}",
-        simd::levelName(simd::detectedLevel()), fp_scalar, fp_vector,
-        fp_vector > 0.0 ? fp_scalar / fp_vector : 0.0, way_scalar,
-        way_vector, way_vector > 0.0 ? way_scalar / way_vector : 0.0);
-    return buf;
-}
-
-/**
- * Sequential vs lockstep wall time of four trace-sharing Systems —
- * the BINGO_BATCH decision in miniature — as a JSON fragment.
- */
-std::string
-batchedSummary()
-{
-    constexpr std::uint64_t kInstructions = 50000;
-    constexpr unsigned kRepeat = 3;
-    std::uint64_t cycles_seq = 0;
-    std::uint64_t cycles_batch = 0;
-    const double sequential = timeIt(kRepeat, [&cycles_seq] {
-        for (auto &m : makeBatchMembers()) {
-            m->run(0, kInstructions);
-            cycles_seq += m->now();
-        }
-    });
-    const double batched = timeIt(kRepeat, [&cycles_batch] {
-        auto members = makeBatchMembers();
-        for (auto &m : members)
-            m->beginRun(0, kInstructions);
-        std::size_t running = members.size();
-        while (running > 0) {
-            for (auto &m : members) {
-                if (m == nullptr)
-                    continue;
-                if (m->advance(8192)) {
-                    cycles_batch += m->now();
-                    m.reset();
-                    --running;
-                }
-            }
-        }
-    });
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  ",\"batched\":{\"members\":4,\"instructions\":%llu,"
-                  "\"runs\":%u,\"wall_seconds_sequential\":%.6f,"
-                  "\"wall_seconds_batched\":%.6f,\"speedup\":%.3f,"
-                  "\"identical_cycles\":%s}",
-                  static_cast<unsigned long long>(kInstructions),
-                  kRepeat, sequential, batched,
-                  batched > 0.0 ? sequential / batched : 0.0,
-                  cycles_seq == cycles_batch ? "true" : "false");
-    return buf;
-}
-
-/**
  * Generation vs cached-replay wall time over one chunk of records,
  * plus the cache's own counters, as a JSON fragment.
  */
@@ -736,8 +532,8 @@ traceCacheSummary()
  * BENCH_mainloop.json: skip-off vs skip-on wall time of the stall- and
  * compute-heavy loop configurations, with the speedup ratios — the
  * machine-readable record the figure-bench BENCH_*.json files are
- * compared against in EXPERIMENTS.md — plus the SIMD kernel and
- * trace-cache micro numbers the perf-smoke CI step tracks.
+ * compared against in EXPERIMENTS.md — plus the trace-cache micro
+ * numbers the perf-smoke CI step tracks.
  */
 void
 writeMainLoopSummary()
@@ -776,8 +572,6 @@ writeMainLoopSummary()
                       cycles_step == cycles_skip ? "true" : "false");
         json += buf;
     }
-    json += batchedSummary();
-    json += microKernelSummary();
     json += traceCacheSummary();
     json += "}\n";
     try {

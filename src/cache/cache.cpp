@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "common/sim_check.hpp"
-#include "common/simd.hpp"
 #include "mem/dram.hpp"
 #include "telemetry/lifecycle.hpp"
 #include "telemetry/registry.hpp"
@@ -44,30 +43,23 @@ Cache::setOf(Addr block) const
     return blockNumber(block) & (num_sets_ - 1);
 }
 
-Cache::Block *
-Cache::lookup(Addr block)
+std::size_t
+Cache::wayOf(Addr block) const
 {
     // Resident tags are unique per set and kNoTag never matches a
-    // block address, so any hit the vector compare reports is THE hit.
-    const std::uint64_t first = setOf(block) * config_.ways;
-    const std::size_t w = simd::findEqual64(way_tags_.data() + first,
-                                            config_.ways, block);
-    return w == simd::kNpos ? nullptr : blocks_.data() + first + w;
-}
-
-const Cache::Block *
-Cache::lookup(Addr block) const
-{
-    const std::uint64_t first = setOf(block) * config_.ways;
-    const std::size_t w = simd::findEqual64(way_tags_.data() + first,
-                                            config_.ways, block);
-    return w == simd::kNpos ? nullptr : blocks_.data() + first + w;
+    // block address, so the first match is THE hit.
+    const std::size_t first = setOf(block) * config_.ways;
+    for (std::size_t i = first; i < first + config_.ways; ++i) {
+        if (way_tags_[i] == block)
+            return i;
+    }
+    return kNoWay;
 }
 
 bool
 Cache::contains(Addr block) const
 {
-    return lookup(block) != nullptr;
+    return wayOf(block) != kNoWay;
 }
 
 bool
@@ -80,8 +72,8 @@ std::uint64_t
 Cache::residentBlocks() const
 {
     std::uint64_t n = 0;
-    for (const Block &b : blocks_) {
-        if (b.valid)
+    for (const Addr tag : way_tags_) {
+        if (tag != kNoTag)
             ++n;
     }
     return n;
@@ -98,9 +90,9 @@ Cache::forEachResident(
     const std::function<void(Addr block, bool dirty, CoreId core)> &fn)
     const
 {
-    for (const Block &b : blocks_) {
-        if (b.valid)
-            fn(b.tag, b.dirty, b.core);
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+        if (way_tags_[i] != kNoTag)
+            fn(way_tags_[i], blocks_[i].dirty, blocks_[i].core);
     }
 }
 
@@ -121,16 +113,17 @@ Cache::checkInvariants(Cycle now) const
                            std::to_string(config_.prefetch_queue));
 
     for (std::uint64_t set = 0; set < num_sets_; ++set) {
-        const Block *base = blocks_.data() + set * config_.ways;
+        const Addr *tags = way_tags_.data() + set * config_.ways;
         const std::uint64_t *lru = way_lru_.data() + set * config_.ways;
+        unsigned filled = 0;
         for (unsigned w = 0; w < config_.ways; ++w) {
-            const Block &blk = base[w];
-            if (!blk.valid)
+            if (tags[w] == kNoTag)
                 continue;
-            if (setOf(blk.tag) != set)
+            ++filled;
+            if (setOf(tags[w]) != set)
                 throw SimError(name_, now,
                                "resident block maps to set " +
-                                   std::to_string(setOf(blk.tag)) +
+                                   std::to_string(setOf(tags[w])) +
                                    " but lives in set " +
                                    std::to_string(set));
             if (lru[w] > tick_)
@@ -139,11 +132,11 @@ Cache::checkInvariants(Cycle now) const
                                    " is ahead of the recency clock " +
                                    std::to_string(tick_));
             for (unsigned v = w + 1; v < config_.ways; ++v) {
-                if (base[v].valid && base[v].tag == blk.tag)
+                if (tags[v] == tags[w])
                     throw SimError(name_, now,
                                    "duplicate resident block in set " +
                                        std::to_string(set));
-                if (base[v].valid && lru[v] == lru[w])
+                if (tags[v] != kNoTag && lru[v] == lru[w])
                     throw SimError(
                         name_, now,
                         "two blocks of set " + std::to_string(set) +
@@ -151,20 +144,6 @@ Cache::checkInvariants(Cycle now) const
                             std::to_string(lru[w]));
             }
         }
-    }
-
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-        const Addr expect = blocks_[i].valid ? blocks_[i].tag : kNoTag;
-        if (way_tags_[i] != expect)
-            throw SimError(name_, now,
-                           "way-tag mirror out of step at way index " +
-                               std::to_string(i));
-    }
-
-    for (std::uint64_t set = 0; set < num_sets_; ++set) {
-        unsigned filled = 0;
-        for (unsigned w = 0; w < config_.ways; ++w)
-            filled += blocks_[set * config_.ways + w].valid ? 1 : 0;
         if (filled != set_filled_[set])
             throw SimError(name_, now,
                            "set " + std::to_string(set) + " holds " +
@@ -211,9 +190,10 @@ Cache::access(const MemAccess &access, Cycle now, FillCallback done)
                        "prefetch presented to the demand access path");
     ++stats_.demand_accesses;
 
-    if (Block *block = lookup(access.block)) {
+    if (const std::size_t way = wayOf(access.block); way != kNoWay) {
+        Block *block = &blocks_[way];
         ++stats_.demand_hits;
-        touchBlock(static_cast<std::size_t>(block - blocks_.data()));
+        touchBlock(way);
         block->core = access.core;
         if (block->prefetched) {
             block->prefetched = false;
@@ -378,14 +358,11 @@ Cache::handleFill(std::size_t slot, Cycle fill_cycle)
     MshrEntry entry = mshrs_.releaseSlot(slot, fill_cycle);
     const Addr block = entry.block;
 
-    Block &victim = victimize(block, fill_cycle);
-    const auto way_index =
-        static_cast<std::size_t>(&victim - blocks_.data());
-    if (!victim.valid)
+    const std::size_t way_index = victimize(block, fill_cycle);
+    if (way_tags_[way_index] == kNoTag)
         ++set_filled_[way_index / config_.ways];
-    victim.valid = true;
-    victim.tag = block;
     way_tags_[way_index] = block;
+    Block &victim = blocks_[way_index];
     victim.dirty = entry.store_merged;
     victim.prefetched = entry.prefetch_origin && !entry.demand_merged;
     victim.core = entry.core;
@@ -414,10 +391,12 @@ Cache::handleFill(std::size_t slot, Cycle fill_cycle)
     // satisfied without consuming an MSHR, so keep draining until a
     // replay actually needs an entry and none is free.
     while (!pending_.empty()) {
-        if (Block *hit = lookup(pending_.front().access.block)) {
+        if (const std::size_t way = wayOf(pending_.front().access.block);
+            way != kNoWay) {
+            Block *hit = &blocks_[way];
             PendingFetch replay = std::move(pending_.front());
             pending_.pop_front();
-            touchBlock(static_cast<std::size_t>(hit - blocks_.data()));
+            touchBlock(way);
             if (hit->prefetched) {
                 hit->prefetched = false;
                 ++stats_.useful_prefetches;
@@ -456,76 +435,68 @@ Cache::handleFill(std::size_t slot, Cycle fill_cycle)
     drainPrefetchQueue(fill_cycle);
 }
 
-Cache::Block &
+std::size_t
 Cache::victimize(Addr block, Cycle now)
 {
     const std::uint64_t set = setOf(block);
     const std::size_t first = set * config_.ways;
-    Block *base = blocks_.data() + first;
-    Block *victim = nullptr;
-    // Fill order: any invalid way first (sets never un-fill, so the
-    // counter lets the steady state skip the scan entirely); the
-    // first kNoTag match is the same way the Block-by-Block scan
-    // would pick.
+    // Fill order: the first invalid way (sets never un-fill, so the
+    // counter lets the steady state skip the scan entirely).
     if (set_filled_[set] < config_.ways) {
-        const std::size_t invalid_way =
-            simd::findEqual64(way_tags_.data() + first, config_.ways,
-                              kNoTag);
-        if (invalid_way != simd::kNpos)
-            victim = base + invalid_way;
+        for (std::size_t i = first; i < first + config_.ways; ++i) {
+            if (way_tags_[i] == kNoTag)
+                return i;
+        }
     }
-    if (victim == nullptr) {
-        switch (config_.replacement) {
-          case ReplacementKind::Lru: {
-            const std::uint64_t *lru = way_lru_.data() + first;
-            unsigned best = 0;
-            for (unsigned w = 1; w < config_.ways; ++w) {
-                if (lru[w] < lru[best])
-                    best = w;
-            }
-            victim = base + best;
-            break;
-          }
-          case ReplacementKind::Srrip: {
-            // Find a distant (rrpv==3) block, aging the set until one
-            // appears.
-            std::uint8_t *rrpv = way_rrpv_.data() + first;
-            while (victim == nullptr) {
-                for (unsigned w = 0; w < config_.ways; ++w) {
-                    if (rrpv[w] >= 3) {
-                        victim = base + w;
-                        break;
-                    }
-                }
-                if (victim == nullptr) {
-                    for (unsigned w = 0; w < config_.ways; ++w)
-                        ++rrpv[w];
-                }
-            }
-            break;
-          }
-          case ReplacementKind::Random:
-            // xorshift64 victim pick.
-            victim_rng_ ^= victim_rng_ << 13;
-            victim_rng_ ^= victim_rng_ >> 7;
-            victim_rng_ ^= victim_rng_ << 17;
-            victim = base + victim_rng_ % config_.ways;
-            break;
+    unsigned way = 0;
+    switch (config_.replacement) {
+      case ReplacementKind::Lru: {
+        const std::uint64_t *lru = way_lru_.data() + first;
+        for (unsigned w = 1; w < config_.ways; ++w) {
+            if (lru[w] < lru[way])
+                way = w;
         }
-        ++stats_.evictions;
-        if (victim->prefetched) {
-            ++stats_.useless_prefetches;
-            if (lifecycle_)
-                lifecycle_->onEvictUnused(victim->tag);
+        break;
+      }
+      case ReplacementKind::Srrip: {
+        // The first distant (rrpv==3) way, aging the set until one
+        // appears.
+        std::uint8_t *rrpv = way_rrpv_.data() + first;
+        for (;;) {
+            while (way < config_.ways && rrpv[way] < 3)
+                ++way;
+            if (way < config_.ways)
+                break;
+            for (unsigned w = 0; w < config_.ways; ++w)
+                ++rrpv[w];
+            way = 0;
         }
-        if (victim->dirty) {
-            ++stats_.writebacks;
-            lower_.writeback(victim->tag, victim->core, now);
-        }
-        for (EvictionListener &listener : eviction_listeners_)
-            listener(victim->tag);
+        break;
+      }
+      case ReplacementKind::Random:
+        // xorshift64 victim pick.
+        victim_rng_ ^= victim_rng_ << 13;
+        victim_rng_ ^= victim_rng_ >> 7;
+        victim_rng_ ^= victim_rng_ << 17;
+        way = static_cast<unsigned>(victim_rng_ % config_.ways);
+        break;
     }
-    return *victim;
+    const std::size_t victim = first + way;
+    const Addr tag = way_tags_[victim];
+    const Block &evicted = blocks_[victim];
+    ++stats_.evictions;
+    if (evicted.prefetched) {
+        ++stats_.useless_prefetches;
+        if (lifecycle_)
+            lifecycle_->onEvictUnused(tag);
+    }
+    if (evicted.dirty) {
+        ++stats_.writebacks;
+        lower_.writeback(tag, evicted.core, now);
+    }
+    for (EvictionListener &listener : eviction_listeners_)
+        listener(tag);
+    return victim;
 }
 
 void

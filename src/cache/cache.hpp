@@ -218,14 +218,13 @@ class Cache
 
     struct Block
     {
-        bool valid = false;
         bool dirty = false;
         bool prefetched = false;  ///< Filled by prefetch, unused so far.
-        Addr tag = 0;             ///< Full block address.
         CoreId core = 0;          ///< Last toucher (for writeback path).
-        // Replacement state (LRU stamp, RRPV) lives in the way_lru_ /
-        // way_rrpv_ SoA arrays: victim selection scans a whole set of
-        // it on every fill, and packed arrays keep that scan inside
+        // The tag (and with it validity) lives in way_tags_, and the
+        // replacement state (LRU stamp, RRPV) in the way_lru_ /
+        // way_rrpv_ SoA arrays: lookups and victim selection scan a
+        // whole set of them, and packed arrays keep those scans inside
         // two cache lines instead of striding through Block records.
     };
 
@@ -250,11 +249,12 @@ class Cache
     void drainPrefetchQueue(Cycle now);
 
     std::uint64_t setOf(Addr block) const;
-    Block *lookup(Addr block);
+
+    /** Way index of resident `block` (into blocks_), or kNoWay. */
+    std::size_t wayOf(Addr block) const;
 
     /** Recency bookkeeping on a hit/fill, per the configured policy. */
     void touchBlock(std::size_t way_index);
-    const Block *lookup(Addr block) const;
 
     /**
      * Start the lower-level fetch for an allocated MSHR entry.
@@ -267,8 +267,8 @@ class Cache
     /** Install the fill for MSHR `slot` and drain its callbacks. */
     void handleFill(std::size_t slot, Cycle fill_cycle);
 
-    /** Pick a victim way and evict it if valid. */
-    Block &victimize(Addr block, Cycle now);
+    /** Pick a victim way for `block`, evicting it if valid. */
+    std::size_t victimize(Addr block, Cycle now);
 
     std::string name_;
     CacheConfig config_;
@@ -277,14 +277,16 @@ class Cache
     /// way_tags_ sentinel for an invalid way: odd, so it can never
     /// equal a block-aligned address.
     static constexpr Addr kNoTag = 1;
+    /// wayOf() result for a block that is not resident.
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
 
     std::uint64_t num_sets_;
     std::vector<Block> blocks_;
-    /// blocks_[i].tag mirrored densely (kNoTag while invalid): the way
-    /// scan in lookup() runs on every access and touches only tags, so
-    /// packing them 8 per cache line beats striding through the ~40-
-    /// byte Block records. handleFill() is the only writer of
-    /// valid/tag and keeps the mirror in step.
+    /// Full block address of each way, kNoTag while invalid: the one
+    /// store of tags and validity. The way scan in wayOf() runs on
+    /// every access and touches only tags, so packing them 8 per cache
+    /// line beats striding through Block records. handleFill() is the
+    /// only writer.
     std::vector<Addr> way_tags_;
     /// Per-way recency stamps and RRPVs, packed like way_tags_ so the
     /// victim scan (and SRRIP aging) stays in a few cache lines.

@@ -82,9 +82,8 @@ MshrFile::allocate(Addr block, bool prefetch_origin, CoreId core,
 MshrEntry
 MshrFile::release(Addr block, Cycle now)
 {
-    const std::size_t slot = simd::findEqual64(
-        slot_blocks_.data(), slot_blocks_.size(), block);
-    if (slot == simd::kNpos)
+    const std::size_t slot = slotFor(block);
+    if (slot == kNoSlot)
         throw SimError(name_, now,
                        "release of block " + blockHex(block) +
                            " with no MSHR entry");

@@ -6,10 +6,10 @@
  * Storage is a fixed-capacity slot pool with a dense block-key array:
  * the file's capacity is a hardware parameter known at construction,
  * so entries live in a preallocated slot vector (references stay valid
- * until release, as before) and lookups scan the packed key array with
- * the SIMD equality kernel instead of hashing — at MSHR sizes (16-64)
- * the scan is a handful of vector compares and beats the hash map it
- * replaced, while allocation/release become a free-stack push/pop with
+ * until release, as before) and lookups scan the packed key array
+ * instead of hashing — at MSHR sizes (16-64) the scan touches a few
+ * cache lines and beats the hash map it replaced, while
+ * allocation/release become a free-stack push/pop with
  * no allocator traffic at all. Released callback vectors park their
  * capacity in a recycle pool (see recycle()), so the steady-state miss
  * path performs zero heap operations.
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "cache/completion.hpp"
-#include "common/simd.hpp"
 #include "common/types.hpp"
 
 namespace bingo
@@ -86,9 +85,8 @@ class MshrFile
     MshrEntry *
     find(Addr block)
     {
-        const std::size_t slot = simd::findEqual64(
-            slot_blocks_.data(), slot_blocks_.size(), block);
-        return slot == simd::kNpos ? nullptr : &slots_[slot];
+        const std::size_t slot = slotFor(block);
+        return slot == kNoSlot ? nullptr : &slots_[slot];
     }
 
     /** True when no further allocation is possible. */
@@ -179,6 +177,19 @@ class MshrFile
     /// Key-array sentinel for a free slot: not block-aligned, so it
     /// can never equal a real block address.
     static constexpr Addr kFreeSlot = ~Addr{0};
+    /// slotFor() result for a block that is not in flight.
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+    /** Slot holding `block`, or kNoSlot (first match in slot order). */
+    std::size_t
+    slotFor(Addr block) const
+    {
+        for (std::size_t i = 0; i < slot_blocks_.size(); ++i) {
+            if (slot_blocks_[i] == block)
+                return i;
+        }
+        return kNoSlot;
+    }
 
     std::size_t capacity_;
     std::string name_;
@@ -187,8 +198,8 @@ class MshrFile
     /// slot_blocks_[i] != kFreeSlot.
     std::vector<MshrEntry> slots_;
     /// Dense key mirror scanned by find(); packing the 8-byte keys
-    /// separately from the ~80-byte entries is what makes the SIMD
-    /// scan touch one cache line per 8 ways.
+    /// separately from the ~80-byte entries is what makes the scan
+    /// touch one cache line per 8 slots.
     std::vector<Addr> slot_blocks_;
     /// Free slot indices (stack).
     std::vector<std::uint32_t> free_slots_;

@@ -1,11 +1,11 @@
 #include "common/footprint.hpp"
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 
 #include "common/sim_check.hpp"
-#include "common/simd.hpp"
 
 namespace bingo
 {
@@ -132,20 +132,29 @@ Footprint
 Footprint::unionOf(const std::uint64_t *raws, std::size_t count,
                    unsigned width)
 {
-    return fromRaw(simd::orReduce(raws, count), width);
+    std::uint64_t acc = 0;
+    for (std::size_t i = 0; i < count; ++i)
+        acc |= raws[i];
+    return fromRaw(acc, width);
 }
 
 Footprint
 Footprint::intersectOf(const std::uint64_t *raws, std::size_t count,
                        unsigned width)
 {
-    return fromRaw(simd::andReduce(raws, count), width);
+    std::uint64_t acc = ~std::uint64_t{0};
+    for (std::size_t i = 0; i < count; ++i)
+        acc &= raws[i];
+    return fromRaw(acc, width);
 }
 
 std::uint64_t
 Footprint::totalCount(const std::uint64_t *raws, std::size_t count)
 {
-    return simd::popcountSum(raws, count);
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < count; ++i)
+        sum += static_cast<std::uint64_t>(std::popcount(raws[i]));
+    return sum;
 }
 
 FootprintVote::FootprintVote(unsigned width)
@@ -157,7 +166,11 @@ void
 FootprintVote::add(const Footprint &fp)
 {
     checkSameWidth(fp.width(), width_);
-    simd::voteAdd(counts_.data(), fp.raw(), width_);
+    const std::uint64_t bits = fp.raw();
+    for (unsigned i = 0; i < width_; ++i) {
+        if ((bits >> i) & 1)
+            ++counts_[i];
+    }
     ++voters_;
 }
 
@@ -169,11 +182,14 @@ FootprintVote::resolve(double threshold) const
         return result;
     const auto needed = static_cast<unsigned>(
         std::ceil(threshold * static_cast<double>(voters_)));
-    const unsigned min_votes = needed == 0 ? 1 : needed;
-    return Footprint::fromRaw(
-        simd::voteResolve(counts_.data(), width_,
-                          static_cast<std::uint16_t>(min_votes)),
-        width_);
+    const auto min_votes =
+        static_cast<std::uint16_t>(needed == 0 ? 1 : needed);
+    std::uint64_t bits = 0;
+    for (unsigned i = 0; i < width_; ++i) {
+        if (counts_[i] >= min_votes)
+            bits |= std::uint64_t{1} << i;
+    }
+    return Footprint::fromRaw(bits, width_);
 }
 
 } // namespace bingo

@@ -80,8 +80,7 @@ class Footprint
     /*
      * Batch operations over candidate sets, as packed raw words
      * (LSB = block 0, one word per footprint, all of width `width`).
-     * These run through the SIMD dispatch layer and are bit-identical
-     * to folding the scalar operators.
+     * Each is bit-identical to folding the one-footprint operators.
      */
 
     /** Union of `count` raw footprints (empty when count is 0). */

@@ -15,19 +15,23 @@
  * template parameters, not std::function: these scans sit on the
  * per-access hot path of every prefetcher, and the indirect call per
  * way was a measurable fraction of lookup cost.
+ *
+ * Storage is allocated on the first write (insert() or a mutable
+ * entryAt()); until then every lookup sees an empty table. Building a
+ * System therefore never zeroes its prefetchers' tables (about 210 MB
+ * for the hybrid), so its cost no longer depends on whether the heap
+ * hands back pages a freed System left behind or fresh ones.
  */
 
 #ifndef BINGO_COMMON_TABLE_HPP
 #define BINGO_COMMON_TABLE_HPP
 
-#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/sim_check.hpp"
-#include "common/simd.hpp"
 
 namespace bingo
 {
@@ -51,9 +55,7 @@ class SetAssocTable
      * @param num_ways Associativity.
      */
     SetAssocTable(std::size_t num_sets, std::size_t num_ways)
-        : sets_(num_sets), ways_(num_ways),
-          entries_(num_sets * num_ways),
-          tag_mirror_(num_sets * num_ways, 0)
+        : sets_(num_sets), ways_(num_ways)
     {
         if (num_sets == 0 || (num_sets & (num_sets - 1)) != 0)
             throw std::invalid_argument(
@@ -66,7 +68,7 @@ class SetAssocTable
 
     std::size_t numSets() const { return sets_; }
     std::size_t numWays() const { return ways_; }
-    std::size_t capacity() const { return entries_.size(); }
+    std::size_t capacity() const { return sets_ * ways_; }
 
     /** Map an index hash to a set number. */
     std::size_t
@@ -84,34 +86,20 @@ class SetAssocTable
     find(std::size_t set, std::uint64_t tag, bool touch = true)
     {
         Entry *base = setBase(set);
-        if (ways_ > 64) {
-            // Wider than the mask kernel covers; plain scan.
-            for (std::size_t w = 0; w < ways_; ++w) {
-                Entry &e = base[w];
-                if (e.valid && e.tag == tag) {
-                    if (touch)
-                        e.lru = ++tick_;
-                    return &e;
-                }
-            }
+        if (base == nullptr)
             return nullptr;
-        }
         if (mirror_dirty_)
             syncMirror();
-        // Candidate ways from the packed tag mirror (stale tags of
-        // invalidated ways are filtered by the valid check; duplicates
-        // resolve in way order, matching the scalar scan exactly).
-        std::uint64_t mask = simd::equalMask64(
-            tag_mirror_.data() + set * ways_, ways_, tag);
-        while (mask != 0) {
-            const unsigned w = std::countr_zero(mask);
-            mask &= mask - 1;
-            Entry &e = base[w];
-            if (!e.valid)
+        // Compare against the packed tag mirror and touch an Entry only
+        // on a tag match (stale tags of invalidated ways are filtered
+        // by the valid check; duplicates resolve in way order).
+        const std::uint64_t *tags = tag_mirror_.data() + set * ways_;
+        for (std::size_t w = 0; w < ways_; ++w) {
+            if (tags[w] != tag || !base[w].valid)
                 continue;
             if (touch)
-                e.lru = ++tick_;
-            return &e;
+                base[w].lru = ++tick_;
+            return &base[w];
         }
         return nullptr;
     }
@@ -127,6 +115,8 @@ class SetAssocTable
               const Visit &visit) const
     {
         const Entry *base = setBase(set);
+        if (base == nullptr)
+            return;
         for (std::size_t w = 0; w < ways_; ++w) {
             const Entry &e = base[w];
             if (e.valid && pred(e))
@@ -181,6 +171,7 @@ class SetAssocTable
     Entry &
     insert(std::size_t set, std::uint64_t tag, Data data)
     {
+        allocate();
         Entry *base = setBase(set);
         Entry *victim = nullptr;
         for (std::size_t w = 0; w < ways_; ++w) {
@@ -251,27 +242,42 @@ class SetAssocTable
     Entry &
     entryAt(std::size_t index)
     {
+        allocate();
         mirror_dirty_ = true;
         return entries_[index];
     }
     const Entry &entryAt(std::size_t index) const
     {
-        return entries_[index];
+        static const Entry kUnwritten{};
+        return entries_.empty() ? kUnwritten : entries_[index];
     }
 
   private:
+    /** Allocate the zeroed storage on first write. */
+    void
+    allocate()
+    {
+        if (!entries_.empty())
+            return;
+        entries_.resize(sets_ * ways_);
+        tag_mirror_.assign(sets_ * ways_, 0);
+    }
+
+    /** First way of `set`, or nullptr while nothing is allocated. */
     Entry *
     setBase(std::size_t set)
     {
         checkSet(set);
-        return entries_.data() + set * ways_;
+        return entries_.empty() ? nullptr
+                                : entries_.data() + set * ways_;
     }
 
     const Entry *
     setBase(std::size_t set) const
     {
         checkSet(set);
-        return entries_.data() + set * ways_;
+        return entries_.empty() ? nullptr
+                                : entries_.data() + set * ways_;
     }
 
     /**
@@ -302,8 +308,9 @@ class SetAssocTable
     std::size_t sets_;
     std::size_t ways_;
     std::vector<Entry> entries_;
-    /// entries_[i].tag packed densely for the find() compare kernel;
-    /// invariant tag_mirror_[i] == entries_[i].tag except while
+    /// entries_[i].tag packed densely for the find() scan, which then
+    /// strides 8 bytes per way instead of a whole Entry; invariant
+    /// tag_mirror_[i] == entries_[i].tag except while
     /// mirror_dirty_ (set by mutable entryAt()).
     std::vector<std::uint64_t> tag_mirror_;
     bool mirror_dirty_ = false;

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -34,15 +36,21 @@ namespace bingo
 namespace
 {
 
+/**
+ * `name` as a base-10 unsigned integer, or `fallback` when it is unset
+ * or anything but digits: a sign, trailing junk or an overflow never
+ * reads as a number.
+ */
 std::uint64_t
 envU64(const char *name, std::uint64_t fallback)
 {
     const char *value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
+    if (value == nullptr)
         return fallback;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value)
+    const char *end = value + std::strlen(value);
+    std::uint64_t parsed = 0;
+    const auto [ptr, ec] = std::from_chars(value, end, parsed);
+    if (ec != std::errc() || ptr != end)
         return fallback;
     return parsed;
 }
@@ -274,143 +282,6 @@ runJobWithRetries(const SweepJob &job, std::size_t index,
 }
 
 /**
- * Drive `members` (indices into `jobs`) as one lockstep batch on the
- * calling worker thread: every member's System is constructed up
- * front, then the batch round-robins advance() slices until all
- * complete. Members share a trace stream (the caller groups them by
- * stream identity), so they walk the shared trace-cache buffers
- * nearly in step — each generated chunk is consumed by the whole
- * batch while it is hot instead of being re-walked cold per run.
- *
- * One member's failure never poisons its batchmates: the member is
- * dropped from the lockstep and re-run solo through the normal retry
- * path afterwards (simulation is deterministic, so the solo rerun
- * reproduces exactly what the lockstep run would have produced).
- */
-void
-runBatchLockstep(
-    const std::vector<SweepJob> &jobs,
-    const std::vector<std::size_t> &members,
-    const std::function<void(std::size_t, System &)> &collect,
-    std::vector<JobOutcome> &outcomes)
-{
-    struct Member
-    {
-        std::size_t index = 0;
-        std::unique_ptr<System> system;
-        std::chrono::steady_clock::time_point start;
-    };
-
-    const double timeout_s = sweepJobTimeoutSeconds();
-    std::vector<Member> live;
-    live.reserve(members.size());
-    std::vector<std::size_t> solo;  ///< Members to re-run alone.
-
-    for (std::size_t index : members) {
-        if (sweepInterrupted()) {
-            outcomes[index].status = JobStatus::Failed;
-            outcomes[index].attempts = 0;
-            outcomes[index].error =
-                "sweep interrupted by signal before this job started "
-                "(journaled jobs are kept; re-run to resume)";
-            continue;
-        }
-        const SweepJob &job = jobs[index];
-        Member m;
-        m.index = index;
-        m.start = std::chrono::steady_clock::now();
-        try {
-            const SystemConfig cfg = runConfig(job.config, job.options);
-            cfg.validate();
-            m.system = std::make_unique<System>(cfg, job.workload);
-            if (telemetry::requested())
-                m.system->enableTelemetry(telemetry::optionsFromEnv());
-            if (timeout_s > 0.0) {
-                // The batch shares one worker thread, so a member's
-                // wall-clock budget must cover its batchmates' slices
-                // too.
-                m.system->setDeadline(
-                    std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(
-                            timeout_s *
-                            static_cast<double>(members.size()))));
-            }
-            m.system->beginRun(job.options.warmup_instructions,
-                               job.options.measure_instructions);
-            live.push_back(std::move(m));
-        } catch (...) {
-            solo.push_back(index);
-        }
-    }
-
-    // Round-robin advance() slices until every member completes. The
-    // slice length trades lockstep tightness (members must stay within
-    // the trace cache's residency window of each other to share
-    // chunks) against per-slice switching cost; 8192 iterations keeps
-    // members within a couple of trace-cache commit slices of each
-    // other while the resumed-loop overhead stays well under a
-    // percent. Note batching trades trace-stream bandwidth for
-    // simulator-state footprint — see EXPERIMENTS.md for the regime
-    // where each side wins.
-    constexpr std::uint64_t kSliceIterations = 8192;
-    std::size_t running = live.size();
-    while (running > 0) {
-        for (Member &m : live) {
-            if (m.system == nullptr)
-                continue;
-            const SweepJob &job = jobs[m.index];
-            bool finished = false;
-            try {
-                finished = m.system->advance(kSliceIterations);
-            } catch (const std::exception &e) {
-                maybeExportTelemetry(job, *m.system, e.what());
-                solo.push_back(m.index);
-                m.system.reset();
-                --running;
-                continue;
-            } catch (...) {
-                maybeExportTelemetry(job, *m.system,
-                                     "unknown exception");
-                solo.push_back(m.index);
-                m.system.reset();
-                --running;
-                continue;
-            }
-            if (!finished)
-                continue;
-            System &system = *m.system;
-            g_completed_runs.fetch_add(1, std::memory_order_relaxed);
-            g_simulated_cycles.fetch_add(system.now(),
-                                         std::memory_order_relaxed);
-            collect(m.index, system);
-            maybeExportTelemetry(job, system, std::string());
-            JobOutcome &outcome = outcomes[m.index];
-            if (system.anyQuarantined()) {
-                outcome.status = JobStatus::Degraded;
-                outcome.error = system.quarantineReport();
-            } else {
-                outcome.status = JobStatus::Ok;
-                outcome.error.clear();
-            }
-            outcome.attempts = 1;
-            outcome.exception = nullptr;
-            outcome.wall_seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - m.start)
-                    .count();
-            m.system.reset();
-            --running;
-        }
-    }
-
-    for (std::size_t index : solo)
-        outcomes[index] =
-            runJobWithRetries(jobs[index], index, collect, {});
-}
-
-/**
  * Shared sweep engine: run the jobs selected by `indices` (indices
  * into `jobs`, preserving the caller's numbering for collect/hook/
  * outcomes) plus the deduplicated baselines they request, grouped by
@@ -518,37 +389,29 @@ runIndexed(const std::vector<SweepJob> &jobs,
 
     // One unit list in group order: each group's baseline right before
     // its jobs, so every use of a stream falls close together and its
-    // cached buffer is still resident for the last one. The jobs are
-    // chunked into lockstep units of BINGO_BATCH. A fault hook pins the
-    // sweep to singleton units: the hook's (index, attempt) contract
-    // assumes each job starts on its own runJobWithRetries call.
+    // cached buffer is still resident for the last one.
     struct Unit
     {
-        bool baseline = false;  ///< Warm jobs[members[0]]'s baseline.
-        std::vector<std::size_t> members;
+        bool baseline = false;  ///< Warm jobs[job]'s baseline instead.
+        std::size_t job = 0;
     };
-    const std::size_t batch = fault_hook ? 1 : sweepBatchSize();
     std::vector<Unit> units;
     for (const Group &group : groups) {
         if (group.baseline)
-            units.push_back({true, {group.jobs.front()}});
-        for (std::size_t pos = 0; pos < group.jobs.size(); pos += batch) {
-            const std::size_t end = std::min(pos + batch, group.jobs.size());
-            units.push_back({false, {group.jobs.begin() + pos,
-                                     group.jobs.begin() + end}});
-        }
+            units.push_back({true, group.jobs.front()});
+        for (std::size_t i : group.jobs)
+            units.push_back({false, i});
     }
     const auto runUnit = [&](const Unit &unit) {
         if (unit.baseline)
-            warmOne(unit.members[0]);
-        else if (unit.members.size() == 1)
-            runOne(unit.members[0]);
+            warmOne(unit.job);
         else
-            runBatchLockstep(jobs, unit.members, collect, outcomes);
+            runOne(unit.job);
     };
 
-    const unsigned threads =
-        num_threads > 0 ? num_threads : sweepJobCount();
+    // More workers than units would only idle.
+    const auto threads = static_cast<unsigned>(std::min<std::size_t>(
+        num_threads > 0 ? num_threads : sweepJobCount(), units.size()));
     if (threads <= 1) {
         for (const Unit &unit : units)
             runUnit(unit);
@@ -768,19 +631,10 @@ sweepJobCount()
 {
     const std::uint64_t requested = envU64("BINGO_JOBS", 0);
     if (requested >= 1)
-        return static_cast<unsigned>(requested);
+        return static_cast<unsigned>(std::min<std::uint64_t>(
+            requested, std::numeric_limits<unsigned>::max()));
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
-}
-
-unsigned
-sweepBatchSize()
-{
-    const std::uint64_t requested = envU64("BINGO_BATCH", 1);
-    if (requested <= 1)
-        return 1;
-    return static_cast<unsigned>(
-        std::min<std::uint64_t>(requested, 64));
 }
 
 unsigned

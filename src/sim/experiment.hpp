@@ -97,24 +97,11 @@ struct SweepJob
 };
 
 /**
- * Sweep thread count: BINGO_JOBS if set (minimum 1), otherwise
- * std::thread::hardware_concurrency().
+ * Sweep thread count: BINGO_JOBS if it is a positive integer,
+ * otherwise std::thread::hardware_concurrency(). A sweep never starts
+ * more threads than it has jobs and baselines to run.
  */
 unsigned sweepJobCount();
-
-/**
- * Lockstep batch width: BINGO_BATCH (default 1, clamped to [1, 64]).
- * When greater than one, each sweep worker drives up to this many
- * Systems that share a trace stream — same (workload, seed, warmup,
- * measure) — in round-robin advance() slices instead of running them
- * back to back. The members replay the shared trace-cache buffers
- * nearly in step, so each generated chunk is consumed by the whole
- * batch while it is hot. Results and journals are bit-identical to
- * BINGO_BATCH=1 (each System is still an isolated machine driven
- * through the same state transitions). Read fresh on every sweep, so
- * tests can flip it with setenv.
- */
-unsigned sweepBatchSize();
 
 /**
  * Distributed worker-process count: BINGO_DIST_WORKERS (0 = off).

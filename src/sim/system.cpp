@@ -433,21 +433,11 @@ System::sampleEpochIfDue()
         telemetry_->epochs().sample(now_, telemetrySnapshot());
 }
 
-bool
-System::allMeasurementsDone() const
-{
-    for (const auto &core : cores_) {
-        if (!core->measurementDone())
-            return false;
-    }
-    return true;
-}
-
 void
-System::beginPhase(std::uint64_t instructions, const char *phase)
+System::runPhase(std::uint64_t instructions, const char *phase)
 {
-    phase_checks_ = simCheckEnabled();
-    phase_pausing_ = phase_checks_ || deadline_armed_;
+    const bool checks = simCheckEnabled();
+    const bool pausing = checks || deadline_armed_;
     for (auto &core : cores_)
         core->startMeasurement(instructions, now_);
     // The phase base snapshot must be taken after startMeasurement
@@ -461,33 +451,18 @@ System::beginPhase(std::uint64_t instructions, const char *phase)
     // they fire on exactly the same cycles when stepping by one, and
     // still fire once per period when the loop jumps (crossed, not
     // landed-on, semantics).
-    check_gate_.emplace(kCheckIntervalMask, now_);
-    epoch_gate_.emplace(kEpochCheckMask, now_);
+    PeriodicGate check_gate(kCheckIntervalMask, now_);
+    PeriodicGate epoch_gate(kEpochCheckMask, now_);
     // Cached per-core wake cycles; 0 forces a first step of each.
     core_wake_.assign(cores_.size(), 0);
     // measurementDone() can only flip inside step() (retirement is the
     // sole writer of the retired-instruction count), so the loop keeps
     // a finished-core count updated at each transition instead of
     // polling every core twice per iteration.
-    done_cores_ = 0;
+    std::size_t done_cores = 0;
     for (const auto &core : cores_)
-        done_cores_ += core->measurementDone() ? 1 : 0;
-}
-
-bool
-System::advancePhase(std::uint64_t budget)
-{
-    // Hoist the persisted phase state into locals for the loop, so
-    // slicing the phase into advance() calls costs nothing inside it:
-    // the compiler sees exactly the monolithic loop runPhase used to
-    // be. (A throw below leaves the members stale — harmless, since a
-    // throwing run is dead: there is no way to resume it.)
-    const bool checks = phase_checks_;
-    const bool pausing = phase_pausing_;
-    PeriodicGate check_gate = *check_gate_;
-    PeriodicGate epoch_gate = *epoch_gate_;
-    std::size_t done_cores = done_cores_;
-    for (; done_cores < cores_.size() && budget > 0; --budget) {
+        done_cores += core->measurementDone() ? 1 : 0;
+    while (done_cores < cores_.size()) {
         if (pausing && check_gate.crossed(now_)) {
             if (deadline_armed_ &&
                 std::chrono::steady_clock::now() >= deadline_)
@@ -565,33 +540,18 @@ System::advancePhase(std::uint64_t budget)
             ++now_;
         }
     }
-    check_gate_ = check_gate;
-    epoch_gate_ = epoch_gate;
-    done_cores_ = done_cores;
-    return done_cores == cores_.size();
-}
-
-void
-System::finishPhase()
-{
-    if (phase_checks_)
+    if (checks)
         checkInvariants();
     if (telemetry_ != nullptr)
         telemetry_->epochs().endPhase(now_, telemetrySnapshot());
 }
 
 void
-System::runPhase(std::uint64_t instructions, const char *phase)
+System::run(std::uint64_t warmup_instructions,
+            std::uint64_t measure_instructions)
 {
-    beginPhase(instructions, phase);
-    while (!advancePhase(~std::uint64_t{0})) {
-    }
-    finishPhase();
-}
-
-void
-System::beginMeasurePhase()
-{
+    if (warmup_instructions > 0)
+        runPhase(warmup_instructions, "warmup");
     llc_->resetStats();
     for (auto &l1 : l1ds_)
         l1->resetStats();
@@ -602,57 +562,7 @@ System::beginMeasurePhase()
         // state stays because those blocks span the boundary.
         telemetry_->lifecycle().resetStats();
     }
-    beginPhase(measure_instrs_, "measure");
-}
-
-void
-System::beginRun(std::uint64_t warmup_instructions,
-                 std::uint64_t measure_instructions)
-{
-    measure_instrs_ = measure_instructions;
-    if (warmup_instructions > 0) {
-        stage_ = RunStage::Warmup;
-        beginPhase(warmup_instructions, "warmup");
-    } else {
-        stage_ = RunStage::Measure;
-        beginMeasurePhase();
-    }
-}
-
-bool
-System::advance(std::uint64_t max_iterations)
-{
-    switch (stage_) {
-      case RunStage::Warmup:
-        if (!advancePhase(max_iterations))
-            return false;
-        finishPhase();
-        stage_ = RunStage::Measure;
-        beginMeasurePhase();
-        // The measure phase starts on the next call: a slice boundary
-        // between phases keeps the budget accounting simple and costs
-        // one extra call per run.
-        return false;
-      case RunStage::Measure:
-        if (!advancePhase(max_iterations))
-            return false;
-        finishPhase();
-        stage_ = RunStage::Done;
-        return true;
-      case RunStage::Idle:
-      case RunStage::Done:
-        return true;
-    }
-    return true;
-}
-
-void
-System::run(std::uint64_t warmup_instructions,
-            std::uint64_t measure_instructions)
-{
-    beginRun(warmup_instructions, measure_instructions);
-    while (!advance(~std::uint64_t{0})) {
-    }
+    runPhase(measure_instructions, "measure");
 }
 
 } // namespace bingo

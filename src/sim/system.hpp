@@ -22,7 +22,6 @@
 #include "chaos/shadow_memory.hpp"
 #include "common/config.hpp"
 #include "common/event_queue.hpp"
-#include "common/periodic_gate.hpp"
 #include "core/ooo_core.hpp"
 #include "mem/dram.hpp"
 #include "prefetch/prefetcher.hpp"
@@ -63,31 +62,6 @@ class System
      */
     void run(std::uint64_t warmup_instructions,
              std::uint64_t measure_instructions);
-
-    /**
-     * Incremental-run driver, part one: arm the same warmup/measure
-     * sequence run() executes, without driving it. Pair with
-     * advance() — run() is exactly beginRun() followed by advance()
-     * to completion, and the phase machinery walks identical state
-     * transitions however the advance() calls are sliced, so results
-     * are bit-identical to a monolithic run(). This is what lets the
-     * batched sweep runner interleave several Systems on one worker
-     * thread (sim/experiment.hpp, BINGO_BATCH).
-     */
-    void beginRun(std::uint64_t warmup_instructions,
-                  std::uint64_t measure_instructions);
-
-    /**
-     * Drive the run armed by beginRun() through at most
-     * `max_iterations` main-loop iterations (one iteration is one
-     * stepped or one fast-forwarded stretch of the clock). Returns
-     * true once the whole run — warmup and measure — has completed;
-     * further calls are no-ops that keep returning true.
-     */
-    bool advance(std::uint64_t max_iterations);
-
-    /** True once the beginRun() run has completed (or none began). */
-    bool runDone() const { return stage_ == RunStage::Done; }
 
     const SystemConfig &config() const { return config_; }
     Cycle now() const { return now_; }
@@ -211,37 +185,8 @@ class System
     void build(std::vector<std::unique_ptr<TraceSource>> sources,
                bool pre_translated = false);
 
-    /** Stage of the beginRun()/advance() state machine. */
-    enum class RunStage : std::uint8_t
-    {
-        Idle,     ///< No run armed yet.
-        Warmup,   ///< Driving the warmup phase.
-        Measure,  ///< Driving the measurement phase.
-        Done      ///< Run complete; advance() is a no-op.
-    };
-
     /** Advance until every core's measurement quota is met. */
     void runPhase(std::uint64_t instructions, const char *phase);
-
-    /** Arm one phase: reset cores/gates/telemetry for `instructions`. */
-    void beginPhase(std::uint64_t instructions, const char *phase);
-
-    /**
-     * Drive the armed phase through at most `budget` loop iterations;
-     * true when every core has met its quota. Gate/progress state
-     * persists in members between calls, hoisted into locals for the
-     * duration of the loop.
-     */
-    bool advancePhase(std::uint64_t budget);
-
-    /** Close the armed phase (final checks, telemetry epoch end). */
-    void finishPhase();
-
-    /** Reset measurement-window stats and arm the measure phase. */
-    void beginMeasurePhase();
-
-    /** True when every core has retired its measurement quota. */
-    bool allMeasurementsDone() const;
 
     /** Close the telemetry epoch when its boundary was crossed. */
     void sampleEpochIfDue();
@@ -285,14 +230,6 @@ class System
     /// core's wakeDirty flag reports a completion landed.
     std::vector<Cycle> core_wake_;
     std::unique_ptr<telemetry::Telemetry> telemetry_;
-    // --- beginRun()/advance() state, persisted between slices ---
-    RunStage stage_ = RunStage::Idle;
-    std::uint64_t measure_instrs_ = 0;   ///< For the measure phase.
-    bool phase_checks_ = false;          ///< BINGO_CHECK this phase.
-    bool phase_pausing_ = false;         ///< Watchdog/check pauses on.
-    std::optional<PeriodicGate> check_gate_;
-    std::optional<PeriodicGate> epoch_gate_;
-    std::size_t done_cores_ = 0;         ///< Cores past their quota.
 };
 
 } // namespace bingo

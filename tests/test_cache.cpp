@@ -2,10 +2,19 @@
  * @file
  * Tests for the cache model: hit/miss accounting, MSHR merging,
  * write-allocate and writeback, prefetch-bit bookkeeping, pending-fetch
- * replay, the prefetch queue, and eviction listeners.
+ * replay, the prefetch queue, eviction listeners, and LRU/SRRIP victim
+ * choice against a naive reference model.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <list>
+#include <optional>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "cache/cache.hpp"
 #include "common/rng.hpp"
@@ -353,6 +362,205 @@ TEST_P(CacheRandomTrafficTest, Invariants)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheRandomTrafficTest,
                          ::testing::Range(1u, 11u));
+
+/**
+ * Deliberately naive replacement model, written from the policy
+ * definitions rather than from Cache's packed per-way arrays. Per set,
+ * LRU keeps its blocks in a list in recency order (front = most
+ * recent); SRRIP keeps a tag and a 2-bit RRPV per way, where a hit
+ * sets 0, a fill sets 2, and the victim is the first way at 3 after
+ * ageing the set until one exists. Both fill invalid ways first.
+ */
+class ReplacementModel
+{
+  public:
+    ReplacementModel(ReplacementKind kind, std::size_t sets,
+                     std::size_t ways)
+        : kind_(kind), ways_(ways), recency_(sets),
+          rrip_(sets, std::vector<RripWay>(ways))
+    {
+    }
+
+    /** A block leaving the cache, and whether it must be written back. */
+    struct Eviction
+    {
+        Addr block = 0;
+        bool dirty = false;
+    };
+
+    /** One demand access; returns the eviction it causes, if any. */
+    std::optional<Eviction>
+    access(Addr block, bool store)
+    {
+        const std::size_t set = blockNumber(block) % recency_.size();
+        const std::optional<Addr> victim =
+            kind_ == ReplacementKind::Lru
+                ? accessLru(recency_[set], block)
+                : accessSrrip(rrip_[set], block);
+        std::optional<Eviction> eviction;
+        if (victim)
+            eviction = Eviction{*victim, dirty_.erase(*victim) != 0};
+        if (store)
+            dirty_.insert(block);
+        return eviction;
+    }
+
+    bool
+    contains(Addr block) const
+    {
+        const std::size_t set = blockNumber(block) % recency_.size();
+        if (kind_ == ReplacementKind::Lru) {
+            const std::list<Addr> &order = recency_[set];
+            return std::find(order.begin(), order.end(), block) !=
+                   order.end();
+        }
+        const std::vector<RripWay> &ways = rrip_[set];
+        return std::any_of(ways.begin(), ways.end(),
+                           [block](const RripWay &way) {
+                               return way.valid && way.tag == block;
+                           });
+    }
+
+  private:
+    struct RripWay
+    {
+        bool valid = false;
+        Addr tag = 0;
+        unsigned rrpv = 3;
+    };
+
+    std::optional<Addr>
+    accessLru(std::list<Addr> &order, Addr block)
+    {
+        const auto hit = std::find(order.begin(), order.end(), block);
+        if (hit != order.end()) {
+            order.splice(order.begin(), order, hit);
+            return std::nullopt;
+        }
+        std::optional<Addr> victim;
+        if (order.size() == ways_) {
+            victim = order.back();
+            order.pop_back();
+        }
+        order.push_front(block);
+        return victim;
+    }
+
+    static std::optional<Addr>
+    accessSrrip(std::vector<RripWay> &ways, Addr block)
+    {
+        for (RripWay &way : ways) {
+            if (way.valid && way.tag == block) {
+                way.rrpv = 0;
+                return std::nullopt;
+            }
+        }
+        std::optional<Addr> victim;
+        auto slot = std::find_if(ways.begin(), ways.end(),
+                                 [](const RripWay &way) {
+                                     return !way.valid;
+                                 });
+        if (slot == ways.end()) {
+            for (;;) {
+                slot = std::find_if(ways.begin(), ways.end(),
+                                    [](const RripWay &way) {
+                                        return way.rrpv == 3;
+                                    });
+                if (slot != ways.end())
+                    break;
+                for (RripWay &way : ways)
+                    ++way.rrpv;
+            }
+            victim = slot->tag;
+        }
+        *slot = RripWay{true, block, 2};
+        return victim;
+    }
+
+    ReplacementKind kind_;
+    std::size_t ways_;
+    std::vector<std::list<Addr>> recency_;
+    std::vector<std::vector<RripWay>> rrip_;
+    std::set<Addr> dirty_;
+};
+
+class CacheReplacementModelTest
+    : public ::testing::TestWithParam<
+          std::tuple<ReplacementKind, unsigned>>
+{
+};
+
+/**
+ * The cache's victim choice agrees with the reference model access by
+ * access: every eviction (or its absence), every writeback of a dirty
+ * victim, and the resident set.
+ */
+TEST_P(CacheReplacementModelTest, VictimsMatchNaiveModel)
+{
+    const auto [kind, seed] = GetParam();
+    EventQueue events;
+    FakeLower lower(events, 20);
+    CacheConfig config;
+    config.size_bytes = 16 * kBlockSize;  // 4 sets x 4 ways.
+    config.ways = 4;
+    config.replacement = kind;
+    Cache cache("model", config, events, lower);
+    std::vector<Addr> evicted;
+    cache.addEvictionListener(
+        [&evicted](Addr block) { evicted.push_back(block); });
+    ReplacementModel model(kind, config.numSets(), config.ways);
+
+    // 12 blocks per set, three times the associativity: hits, fills
+    // into invalid ways and evictions all stay common.
+    constexpr Addr kBlocks = 48;
+    Rng rng(seed);
+    Cycle now = 0;
+    for (int i = 0; i < 4000; ++i) {
+        MemAccess access;
+        access.block = rng.below(kBlocks) * kBlockSize;
+        access.type =
+            rng.chance(0.3) ? AccessType::Store : AccessType::Load;
+        const bool store = access.type == AccessType::Store;
+        const auto expect = model.access(access.block, store);
+        const std::size_t writebacks = lower.writebacks.size();
+
+        evicted.clear();
+        bool done = false;
+        cache.access(access, now, [&done](Cycle) { done = true; });
+        while (!done)
+            events.runDue(now++);
+        cache.checkInvariants(now);
+
+        ASSERT_EQ(evicted.size(), expect ? 1u : 0u) << "access " << i;
+        if (expect) {
+            ASSERT_EQ(evicted.front(), expect->block) << "access " << i;
+        }
+        ASSERT_EQ(lower.writebacks.size(),
+                  writebacks + (expect && expect->dirty ? 1 : 0))
+            << "access " << i;
+        for (Addr b = 0; b < kBlocks; ++b) {
+            ASSERT_EQ(cache.contains(b * kBlockSize),
+                      model.contains(b * kBlockSize))
+                << "access " << i << ", block " << b;
+        }
+    }
+    // The stream must have exercised both sides of the policy.
+    EXPECT_GT(cache.stats().demand_hits, 500u);
+    EXPECT_GT(cache.stats().evictions, 500u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, CacheReplacementModelTest,
+    ::testing::Combine(::testing::Values(ReplacementKind::Lru,
+                                         ReplacementKind::Srrip),
+                       ::testing::Range(1u, 6u)),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param) ==
+                                   ReplacementKind::Lru
+                               ? "Lru"
+                               : "Srrip") +
+               "_seed" + std::to_string(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace bingo

@@ -23,7 +23,6 @@
 #include <unistd.h>
 
 #include "chaos/chaos.hpp"
-#include "common/simd.hpp"
 #include "workload/generator.hpp"
 #include "prefetch/ampm.hpp"
 #include "prefetch/bingo.hpp"
@@ -327,61 +326,6 @@ TEST(ChaosDeterminism, DifferentChaosSeedDifferentFaults)
     EXPECT_TRUE(counters_differ || results_differ);
 }
 
-/**
- * The SIMD layer's contract: the vector kernels are bit-exact drop-ins
- * for their scalar oracles, so a whole simulation — every prefetcher,
- * whose table scans, footprint votes, and MSHR/way lookups all route
- * through the kernels — must not be able to tell the levels apart.
- */
-class SimdEquivalenceTest
-    : public ::testing::TestWithParam<PrefetcherKind>
-{
-};
-
-TEST_P(SimdEquivalenceTest, ScalarMatchesVectorBitIdentically)
-{
-    if (simd::detectedLevel() == simd::Level::Scalar)
-        GTEST_SKIP() << "no vector unit detected";
-    const simd::Level saved = simd::activeLevel();
-    simd::setLevel(simd::Level::Scalar);
-    const RunResult scalar = runOnce(GetParam(), 7);
-    simd::setLevel(simd::detectedLevel());
-    const RunResult vector = runOnce(GetParam(), 7);
-    simd::setLevel(saved);
-    expectIdenticalResults(scalar, vector);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllKinds, SimdEquivalenceTest,
-    ::testing::Values(PrefetcherKind::None, PrefetcherKind::NextLine,
-                      PrefetcherKind::Stride, PrefetcherKind::Bop,
-                      PrefetcherKind::Spp, PrefetcherKind::Vldp,
-                      PrefetcherKind::Ampm, PrefetcherKind::Sms,
-                      PrefetcherKind::Bingo,
-                      PrefetcherKind::BingoMulti,
-                      PrefetcherKind::EventStudy, PrefetcherKind::Isb,
-                      PrefetcherKind::Domino,
-                      PrefetcherKind::Hybrid));
-
-/** Chaos fault schedules must also be level-independent. */
-TEST(SimdEquivalence, ChaosRunsIdenticalAcrossLevels)
-{
-    if (simd::detectedLevel() == simd::Level::Scalar)
-        GTEST_SKIP() << "no vector unit detected";
-    const simd::Level saved = simd::activeLevel();
-    chaos::ChaosCounters scalar_counters;
-    chaos::ChaosCounters vector_counters;
-    simd::setLevel(simd::Level::Scalar);
-    const RunResult scalar =
-        runChaos(true, 99, &scalar_counters, nullptr);
-    simd::setLevel(simd::detectedLevel());
-    const RunResult vector =
-        runChaos(true, 99, &vector_counters, nullptr);
-    simd::setLevel(saved);
-    expectIdenticalResults(scalar, vector);
-    expectIdenticalChaosCounters(scalar_counters, vector_counters);
-}
-
 /** The factory builds every advertised prefetcher. */
 class FactoryTest : public ::testing::TestWithParam<PrefetcherKind>
 {
@@ -497,35 +441,7 @@ TEST(SpecKernels, PerlbenchRevisitsLbmStreams)
               2.0 * hottestRegionShare("lbm"));
 }
 
-// --- Batched lockstep sweeps (BINGO_BATCH) -----------------------------
-
-/** Set an environment variable for one scope, restoring on exit. */
-class EnvVar
-{
-  public:
-    EnvVar(const char *name, const std::string &value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old != nullptr) {
-            had_old_ = true;
-            old_ = old;
-        }
-        ::setenv(name, value.c_str(), 1);
-    }
-
-    ~EnvVar()
-    {
-        if (had_old_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool had_old_ = false;
-};
+// --- Planned trace streams ---------------------------------------------
 
 /** Unique per-process scratch directory (removed on destruction). */
 class TempDir
@@ -550,32 +466,6 @@ class TempDir
     std::string path_;
 };
 
-/**
- * Six jobs sharing one trace stream — same workload, seed, warmup and
- * measure — differing only by prefetcher, so BINGO_BATCH > 1 groups
- * them into lockstep units.
- */
-std::vector<SweepJob>
-batchableJobs()
-{
-    const PrefetcherKind kinds[] = {
-        PrefetcherKind::None, PrefetcherKind::Stride,
-        PrefetcherKind::NextLine, PrefetcherKind::Bop,
-        PrefetcherKind::Sms, PrefetcherKind::Bingo};
-    std::vector<SweepJob> jobs;
-    for (const PrefetcherKind kind : kinds) {
-        SweepJob job;
-        job.workload = "Data Serving";
-        job.config = SystemConfig::singleCore();
-        job.config.prefetcher.kind = kind;
-        job.options.warmup_instructions = 2000;
-        job.options.measure_instructions = 5000;
-        job.options.seed = 42;
-        jobs.push_back(job);
-    }
-    return jobs;
-}
-
 /** Filename -> full contents of every journal record in `dir`. */
 std::map<std::string, std::string>
 journalSnapshot(const std::string &dir)
@@ -592,122 +482,6 @@ journalSnapshot(const std::string &dir)
     }
     return files;
 }
-
-/**
- * One journaled sweep of the batchable jobs at the given batch width
- * and worker count; returns the byte-exact journal it produced.
- */
-std::map<std::string, std::string>
-journaledSweep(unsigned batch, unsigned num_threads)
-{
-    const TempDir dir("batch" + std::to_string(batch) + "x" +
-                      std::to_string(num_threads));
-    const EnvVar journal_env("BINGO_JOURNAL_DIR", dir.path());
-    const EnvVar batch_env("BINGO_BATCH", std::to_string(batch));
-    const std::vector<SweepJob> jobs = batchableJobs();
-    const std::vector<JobOutcome> outcomes =
-        runSweepOutcomes(jobs, num_threads);
-    for (const JobOutcome &outcome : outcomes)
-        EXPECT_TRUE(outcome.ok()) << outcome.error;
-    return journalSnapshot(dir.path());
-}
-
-/**
- * The batched sweep's bit-identity oracle: journals are byte-for-byte
- * identical across every BINGO_BATCH width — each batch member is an
- * isolated machine driven through exactly the state transitions a
- * solo run() performs, only interleaved on the worker thread.
- */
-TEST(BatchedDeterminism, JournalsIdenticalAcrossBatchWidths)
-{
-    const auto reference = journaledSweep(1, 1);
-    // One record per job plus manifest.sweep (itself a pure function
-    // of the job list, so it participates in the byte-compare below).
-    ASSERT_EQ(reference.size(), batchableJobs().size() + 1);
-    ASSERT_EQ(reference.count("manifest.sweep"), 1u);
-    for (const unsigned batch : {2u, 4u, 8u}) {
-        EXPECT_EQ(reference, journaledSweep(batch, 1))
-            << "BINGO_BATCH=" << batch;
-    }
-}
-
-TEST(BatchedDeterminism, JournalsIdenticalAcrossWorkerCounts)
-{
-    const auto serial = journaledSweep(4, 1);
-    const auto threaded = journaledSweep(4, 2);
-    EXPECT_EQ(serial, threaded);
-}
-
-/**
- * Batching composes with the cycle-skip toggle: a batched sweep with
- * fast-forwarding disabled still matches the batch=1 default-skip
- * journal bit-for-bit (skip equivalence and batch equivalence hold
- * simultaneously, not just each against its own reference).
- */
-TEST(BatchedDeterminism, BatchedSkipOffMatchesUnbatchedSkipOn)
-{
-    const auto reference = journaledSweep(1, 1);
-    System::setCycleSkippingDefault(false);
-    const auto no_skip = journaledSweep(4, 1);
-    System::setCycleSkippingDefault(std::nullopt);
-    EXPECT_EQ(reference, no_skip);
-}
-
-/** Batching composes with the SIMD toggle the same way. */
-TEST(BatchedDeterminism, BatchedScalarMatchesUnbatchedVector)
-{
-    const auto reference = journaledSweep(1, 1);
-    const simd::Level saved = simd::activeLevel();
-    simd::setLevel(simd::Level::Scalar);
-    const auto scalar = journaledSweep(4, 1);
-    simd::setLevel(saved);
-    EXPECT_EQ(reference, scalar);
-}
-
-/**
- * Chaos under batching: fault draws happen per opportunity inside
- * each System's own engine, so lockstep interleaving must not move a
- * single fault — identical counters and results at every width.
- */
-TEST(BatchedChaosDeterminism, IdenticalFaultScheduleAcrossWidths)
-{
-    const auto chaosSweep = [](unsigned batch) {
-        const EnvVar batch_env("BINGO_BATCH", std::to_string(batch));
-        std::vector<SweepJob> jobs = batchableJobs();
-        for (SweepJob &job : jobs) {
-            job.config.chaos.enabled = true;
-            job.config.chaos.seed = 99;
-            job.config.chaos.rate = 0.002;
-            job.config.chaos.site_mask = 0x1F;
-        }
-        std::vector<chaos::ChaosCounters> counters(jobs.size());
-        std::vector<RunResult> results(jobs.size());
-        runSweepSystems(
-            jobs,
-            [&](std::size_t i, System &system) {
-                counters[i] = system.chaosEngine()->counters();
-                results[i] =
-                    collectResult(system, jobs[i].workload);
-            },
-            1);
-        return std::make_pair(std::move(counters),
-                              std::move(results));
-    };
-    const auto [ref_counters, ref_results] = chaosSweep(1);
-    const auto [batched_counters, batched_results] = chaosSweep(4);
-    ASSERT_EQ(ref_counters.size(), batched_counters.size());
-    std::uint64_t total_faults = 0;
-    for (std::size_t i = 0; i < ref_counters.size(); ++i) {
-        expectIdenticalChaosCounters(ref_counters[i],
-                                     batched_counters[i]);
-        expectIdenticalResults(ref_results[i], batched_results[i]);
-        total_faults += ref_counters[i].trace_corruptions;
-    }
-    // The injector must actually have been injecting.
-    EXPECT_GT(total_faults, 0u);
-}
-
-// --- Planned trace streams ---------------------------------------------
 
 /**
  * A sweep mixing every case of the sweep runner's trace plan: a

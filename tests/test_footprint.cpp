@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "common/footprint.hpp"
 #include "common/rng.hpp"
@@ -100,6 +103,36 @@ TEST(Footprint, FullWidth64)
     EXPECT_EQ(fp.count(), 63u);
 }
 
+/** The batch operations agree with the one-at-a-time ops. */
+TEST(Footprint, BatchOpsMatchElementwise)
+{
+    std::mt19937_64 rng(4242);
+    std::vector<std::uint64_t> raws;
+    for (int i = 0; i < 9; ++i)
+        raws.push_back(rng() & 0xFFFFFFFFu);  // 32-block footprints.
+
+    Footprint union_ref(kBlocksPerRegion);
+    Footprint inter_ref =
+        Footprint::fromRaw(~std::uint64_t{0}, kBlocksPerRegion);
+    std::uint64_t total_ref = 0;
+    for (std::uint64_t raw : raws) {
+        const Footprint fp =
+            Footprint::fromRaw(raw, kBlocksPerRegion);
+        union_ref = union_ref | fp;
+        inter_ref = inter_ref & fp;
+        total_ref += fp.count();
+    }
+
+    const Footprint union_got =
+        Footprint::unionOf(raws.data(), raws.size());
+    const Footprint inter_got =
+        Footprint::intersectOf(raws.data(), raws.size());
+    EXPECT_EQ(union_got.raw(), union_ref.raw());
+    EXPECT_EQ(inter_got.raw(), inter_ref.raw());
+    EXPECT_EQ(Footprint::totalCount(raws.data(), raws.size()),
+              total_ref);
+}
+
 TEST(FootprintVote, EmptyResolvesEmpty)
 {
     FootprintVote vote;
@@ -147,6 +180,18 @@ TEST(FootprintVote, ThresholdZeroIsUnion)
     vote.add(Footprint::fromRaw(0b01));
     vote.add(Footprint::fromRaw(0b10));
     EXPECT_EQ(vote.resolve(0.0).raw(), 0b11u);
+}
+
+TEST(FootprintVote, ThresholdExact)
+{
+    FootprintVote vote(8);
+    // Three voters; blocks 0 and 3 get 3 votes, block 5 gets 1.
+    vote.add(Footprint::fromRaw(0b00101001, 8));
+    vote.add(Footprint::fromRaw(0b00001001, 8));
+    vote.add(Footprint::fromRaw(0b00001001, 8));
+    // Threshold 2/3 → min_votes = 2: blocks 0 and 3 survive.
+    const Footprint cut = vote.resolve(0.66);
+    EXPECT_EQ(cut.raw(), 0b00001001u);
 }
 
 /** Property sweep: resolve() respects the vote threshold exactly. */

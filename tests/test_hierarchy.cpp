@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <thread>
 
 #include "cache/cache.hpp"
 #include "mem/dram.hpp"
@@ -176,10 +178,28 @@ TEST(ExperimentEnv, OptionsHonourEnvironment)
     EXPECT_EQ(options.warmup_instructions, 1234u);
     EXPECT_EQ(options.measure_instructions, 5678u);
     EXPECT_EQ(options.seed, 99u);
-    // Garbage values fall back to defaults.
-    setenv("BINGO_SEED", "not-a-number", 1);
-    EXPECT_EQ(defaultOptions().seed, 42u);
+    // Garbage values fall back to defaults: anything but a whole
+    // unsigned number, so a sign or trailing junk never reads as one.
+    for (const char *bad : {"not-a-number", "-1", "4x"}) {
+        setenv("BINGO_SEED", bad, 1);
+        EXPECT_EQ(defaultOptions().seed, 42u) << bad;
+    }
     unsetenv("BINGO_SEED");
+
+    setenv("BINGO_JOBS", "4", 1);
+    EXPECT_EQ(sweepJobCount(), 4u);
+    const unsigned hw =
+        std::max(1u, std::thread::hardware_concurrency());
+    for (const char *bad : {"not-a-number", "-1", "4x"}) {
+        setenv("BINGO_JOBS", bad, 1);
+        EXPECT_EQ(sweepJobCount(), hw) << bad;
+    }
+    unsetenv("BINGO_JOBS");
+
+    // A negative worker count must not wrap to the 256-process cap.
+    setenv("BINGO_DIST_WORKERS", "-1", 1);
+    EXPECT_EQ(sweepDistWorkers(), 0u);
+    unsetenv("BINGO_DIST_WORKERS");
 }
 
 } // namespace

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 
 #include "common/rng.hpp"
+#include "common/sim_check.hpp"
 #include "common/table.hpp"
 
 namespace bingo
@@ -26,6 +28,31 @@ TEST(SetAssocTable, InsertAndFind)
     EXPECT_EQ(entry->data, 7);
     EXPECT_EQ(table.find(1, 0xbb), nullptr);
     EXPECT_EQ(table.find(0, 0xaa), nullptr);  // Wrong set.
+}
+
+TEST(SetAssocTable, UnwrittenTableReadsEmpty)
+{
+    // Storage is allocated on the first write; until then every read
+    // sees an empty table, and set indices are still checked.
+    SetAssocTable<int> table(4, 2);
+    const auto any = [](const auto &) { return true; };
+    EXPECT_EQ(table.capacity(), 8u);
+    EXPECT_EQ(table.occupancy(), 0u);
+    EXPECT_EQ(table.find(3, 0xaa), nullptr);
+    EXPECT_FALSE(table.erase(3, 0xaa));
+    EXPECT_EQ(table.countIf(3, any), 0u);
+    EXPECT_EQ(table.mostRecentIf(3, any), nullptr);
+    EXPECT_FALSE(std::as_const(table).entryAt(7).valid);
+    table.clear();
+    EXPECT_THROW(table.find(4, 0xaa), SimError);
+    EXPECT_THROW(table.countIf(4, any), SimError);
+
+    // A write through entryAt() allocates the storage it writes to.
+    auto &entry = table.entryAt(3);  // Set 1, way 1.
+    entry.valid = true;
+    entry.tag = 0xbb;
+    ASSERT_NE(table.find(1, 0xbb), nullptr);
+    EXPECT_EQ(table.occupancy(), 1u);
 }
 
 TEST(SetAssocTable, SameTagOverwritesInPlace)
@@ -178,7 +205,7 @@ TEST_P(TableGeometryTest, CapacityInvariants)
 INSTANTIATE_TEST_SUITE_P(
     Geometries, TableGeometryTest,
     ::testing::Combine(::testing::Values(1u, 2u, 8u, 64u),
-                       ::testing::Values(1u, 2u, 4u, 16u)));
+                       ::testing::Values(1u, 2u, 4u, 16u, 128u)));
 
 } // namespace
 } // namespace bingo
