@@ -14,8 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
+#include "common/env.hpp"
 #include "dist/manifest.hpp"
 #include "dist/protocol.hpp"
 #include "dist/supervisor.hpp"
@@ -32,17 +31,6 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 10);
-    return end == value ? fallback : parsed;
-}
-
 double
 envSeconds(const char *name, double fallback)
 {
@@ -58,10 +46,9 @@ envSeconds(const char *name, double fallback)
  * Ignore SIGPIPE for the coordinator's lifetime in this function
  * (restoring the previous disposition on exit): a worker that dies
  * while the coordinator writes to it must surface as a structured
- * broken-pipe transport error from the ByteChannel, never kill the
+ * broken-pipe transport error from the PipeChannel, never kill the
  * coordinator — the coordinator outliving its workers is the whole
- * point of supervision. (SocketChannel also passes MSG_NOSIGNAL, but
- * PipeChannel writes to plain pipes, which have no such flag.)
+ * point of supervision. (Plain pipes have no MSG_NOSIGNAL.)
  */
 class ScopedSigpipeIgnore
 {
@@ -107,6 +94,10 @@ struct Item
     bool poisoned = false;
     bool interrupted = false;
     WireResult result;
+    /// The simulated result, decoded from `result.record` on receipt
+    /// (or run in-process by the fallback); valid when `have_run`.
+    RunResult run;
+    bool have_run = false;
 };
 
 /** One worker slot: the process (when alive) plus respawn state. */
@@ -139,8 +130,7 @@ transportHealthJson(const DistReport &report)
         << "  \"injected_faults\": " << report.injected_faults << ",\n"
         << "  \"leases_revoked\": " << report.leases_revoked << ",\n"
         << "  \"stale_results_dropped\": "
-        << report.stale_results_dropped << ",\n"
-        << "  \"log_records\": " << report.log_records << "\n"
+        << report.stale_results_dropped << "\n"
         << "}\n";
     return out.str();
 }
@@ -182,24 +172,8 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
     // get the same guarantee.
     if (!journal_dir.empty())
         manifestStore(journal_dir, jobs);
-    // Local workers always journal into shards; without a canonical
-    // journal the shards live in a temp tree that is simply deleted at
-    // the end (results still arrive over the wire). Host-backed (stdio)
-    // workers never journal locally — the coordinator logs their
-    // accepted results instead.
-    std::string shard_base;
-    if (journal_dir.empty()) {
-        shard_base = (std::filesystem::temp_directory_path() /
-                      ("bingo-dist-" + std::to_string(::getpid())))
-                         .string();
-    }
-    const auto shardDirFor = [&](unsigned slot) {
-        return journal_dir.empty()
-                   ? shard_base + "/w" + std::to_string(slot)
-                   : journalShardDir(journal_dir, slot);
-    };
-    // Slots cycle over the host templates; with no hosts every slot is
-    // a local socketpair worker.
+    // Slots cycle over the host templates; with no hosts every slot
+    // execs the local worker binary.
     const auto hostFor = [&](unsigned slot) -> const std::string * {
         if (hosts.empty())
             return nullptr;
@@ -280,9 +254,7 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
 
     const auto spawnSlot = [&](Slot &slot) {
         const unsigned s = slot.proc.slot;
-        if (const std::string *host = hostFor(s); host != nullptr)
-            return spawnWorkerCommand(*host, s, slot.proc);
-        return spawnWorker(binary, shardDirFor(s), s, slot.proc);
+        return spawnWorker(binary, hostFor(s), s, slot.proc);
     };
 
     std::vector<Slot> slots(num_workers);
@@ -373,18 +345,15 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
         }
     };
 
-    // Append an accepted result record from a worker without a local
-    // shard to the coordinator's own shard log, so journalMergeShards
-    // can fold it in like any shard record.
-    const auto logRemoteRecord = [&](const Item &item) {
-        if (journal_dir.empty() || item.baseline ||
-            item.result.record.empty())
+    // The coordinator is the sweep's only journal writer: a job's or
+    // baseline's result commits the moment it is accepted, through the
+    // same journalStore the in-process runner calls. Workers never
+    // touch disk.
+    const auto commit = [&](const Item &item) {
+        if (journal_dir.empty())
             return;
         try {
-            journalLogAppend(journalShardRoot(journal_dir) +
-                                 "/coordinator.log",
-                             item.fingerprint, item.result.record);
-            ++stats.log_records;
+            journalStore(journal_dir, item.fingerprint, item.run);
         } catch (const std::exception &e) {
             std::fprintf(stderr, "bingo: %s\n", e.what());
         }
@@ -483,8 +452,20 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
             item.have_result = true;
             item.state = Item::State::Done;
             item.kills = 0;
-            if (!slot.proc.journals_locally)
-                logRemoteRecord(item);
+            if (item.result.record.empty())
+                break;  // The job failed on the worker: nothing to commit.
+            // Decode once: journalEncode(journalDecode(record)) is the
+            // record byte for byte, so the commit matches the worker's
+            // encoding and a single-process journal.
+            if (!journalDecode(item.result.record, item.fingerprint,
+                               item.run)) {
+                item.result.status = JobStatus::Failed;
+                item.result.error = "distributed sweep: undecodable "
+                                    "result record from worker";
+                break;
+            }
+            item.have_run = true;
+            commit(item);
             break;
         }
         case MsgType::Bye:
@@ -574,7 +555,7 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                         ++stats.reconnects;
                     progress = true;
                 } else {
-                    // fork/socketpair failure is systemic, not a flaky
+                    // fork/pipe failure is systemic, not a flaky
                     // worker — don't spin on it.
                     slot.exhausted = true;
                 }
@@ -639,9 +620,8 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                     item.interrupted = true;
                     continue;
                 }
-                RunResult run;
                 const JobOutcome outcome = runSingleJob(
-                    jobOf(item), item.wire_index, run);
+                    jobOf(item), item.wire_index, item.run);
                 item.state = Item::State::Done;
                 item.have_result = true;
                 item.result.index = item.wire_index;
@@ -651,16 +631,8 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                 item.result.error = outcome.error;
                 item.result.fingerprint = item.fingerprint;
                 if (outcome.ok()) {
-                    item.result.record =
-                        journalEncode(item.fingerprint, run);
-                    if (!item.baseline && !journal_dir.empty()) {
-                        try {
-                            journalStore(journal_dir, item.fingerprint,
-                                         run);
-                        } catch (const std::exception &e) {
-                            std::fprintf(stderr, "%s\n", e.what());
-                        }
-                    }
+                    item.have_run = true;
+                    commit(item);
                 }
                 ++stats.fallback_jobs;
             }
@@ -703,40 +675,15 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
         killWorker(slot.proc);
     }
 
-    // --- Fold worker shards (and the coordinator log) into the
-    // canonical journal. Byte-identity with a single-process run is
-    // structural: journalEncode wrote every record, leases made every
-    // commit at-most-once, and conflicting duplicates throw rather
-    // than merge.
-    if (!journal_dir.empty()) {
-        journalMergeShards(journal_dir);
-    } else if (!shard_base.empty()) {
-        std::error_code ec;
-        std::filesystem::remove_all(shard_base, ec);
-    }
-
     addExternalRunStats(total_runs, total_cycles);
 
-    // --- Materialize outcomes (and prime + journal baselines, exactly
-    // as the in-process baselineFor would have).
+    // --- Materialize outcomes (and prime baselines, exactly as the
+    // in-process baselineFor would have).
     for (Item &item : items) {
         if (item.baseline) {
-            if (item.have_result && !item.result.record.empty()) {
-                RunResult run;
-                if (journalDecode(item.result.record, item.fingerprint,
-                                  run)) {
-                    primeBaselineCache(item.baseline_job.workload,
-                                       item.baseline_job.options, run);
-                    if (!journal_dir.empty()) {
-                        try {
-                            journalStore(journal_dir, item.fingerprint,
-                                         run);
-                        } catch (const std::exception &e) {
-                            std::fprintf(stderr, "%s\n", e.what());
-                        }
-                    }
-                }
-            }
+            if (item.have_run)
+                primeBaselineCache(item.baseline_job.workload,
+                                   item.baseline_job.options, item.run);
             // A failed/interrupted baseline is swallowed like the
             // in-process warmOne: the bench's own baselineFor call
             // will retry and report in context.
@@ -770,14 +717,8 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
         outcome.attempts = item.result.attempts;
         outcome.wall_seconds = item.result.wall_seconds;
         outcome.error = item.result.error;
-        if (!item.result.record.empty() &&
-            !journalDecode(item.result.record, item.fingerprint,
-                           outcome.result)) {
-            outcome.status = JobStatus::Failed;
-            outcome.error =
-                "distributed sweep: undecodable result record from "
-                "worker";
-        }
+        if (item.have_run)
+            outcome.result = std::move(item.run);
     }
 
     if (stats.workers_lost > 0 || stats.poisoned > 0 ||

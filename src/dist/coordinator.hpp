@@ -1,6 +1,6 @@
 /**
  * @file
- * Distributed sweep coordinator: shards a sweep's pending jobs across
+ * Distributed sweep coordinator: spreads a sweep's pending jobs across
  * supervised bingo_worker OS processes (src/dist/worker.hpp) and
  * collects structured JobOutcomes, with the same journal semantics —
  * byte-identical — as the in-process runner.
@@ -9,14 +9,10 @@
  * is nonzero or BINGO_DIST_HOSTS is set (experiment.cpp gates out
  * callers that pin a thread count or install a fault hook). The
  * coordinator:
- *  - fork/execs N local workers over socketpairs, each journaling into
- *    its own shard directory `<journal>/shards/w<slot>/` (a temp
- *    directory when journaling is off), and/or launches remote workers
- *    through BINGO_DIST_HOSTS command templates with their stdio as
- *    the transport (slots cycle over the host list). Remote workers
- *    may not share a filesystem, so the coordinator appends their
- *    accepted result records to `<journal>/shards/coordinator.log`
- *    and journalMergeShards folds that log in with the shards;
+ *  - fork/execs N workers, each speaking the protocol over its
+ *    stdin/stdout pipes: local slots exec the bingo_worker binary
+ *    directly, and with BINGO_DIST_HOSTS slots cycle over its command
+ *    templates (typically ssh), run through `/bin/sh -c`;
  *  - streams jobs over the FramedLink protocol (dist/transport.hpp:
  *    CRC-checked, sequence-numbered frames with resynchronization,
  *    duplicate suppression, and the `transport` chaos site's
@@ -28,9 +24,8 @@
  *  - guards every dispatch with a lease token: each (re-)dispatch of
  *    an item bumps its lease, the worker echoes the lease in its
  *    result, and a result whose lease is not the item's current one is
- *    dropped as stale. Combined with the journal's conflict-checked
- *    merge this makes job commits at-most-once even when a stalled
- *    worker resurfaces after its job was re-dispatched;
+ *    dropped as stale. This makes job commits at-most-once even when a
+ *    stalled worker resurfaces after its job was re-dispatched;
  *  - detects *lost* Job/Result frames (not just dead workers) by
  *    reconciling heartbeats: a worker that reports idle while the
  *    coordinator believes it busy for longer than
@@ -44,18 +39,22 @@
  *  - quarantines a job that kills BINGO_DIST_POISON_KILLS consecutive
  *    workers (default 2) as a poison job: reported Failed with a
  *    poison error, the sweep continues — degraded, not dead;
+ *  - is the sweep's only journal writer: it decodes each accepted
+ *    result's record once and commits it with journalStore on
+ *    receipt — baselines included — exactly as the in-process runner
+ *    does, so the journal is byte-identical to a single-process run of
+ *    the same jobs (journalEncode is the only record serializer, it
+ *    round-trips through journalDecode, and simulations are
+ *    deterministic). A coordinator kill -9 loses at most the one
+ *    in-flight job per worker, which re-simulates on manifest resume;
  *  - drains gracefully on SIGINT/SIGTERM (and ignores SIGPIPE for the
  *    duration, so a worker dying mid-write surfaces as a structured
  *    transport error): no new dispatches, in-flight jobs finish and
- *    journal, undispatched jobs report "sweep interrupted" so the
+ *    commit, undispatched jobs report "sweep interrupted" so the
  *    sweep resumes from the journal;
  *  - falls back to in-process execution of whatever remains if every
  *    worker slot is exhausted — a sweep never dies just because its
- *    workers did;
- *  - merges worker shards (and the coordinator log) into the canonical
- *    journal at the end (journalMergeShards), which is byte-identical
- *    to a single-process run of the same jobs because journalEncode is
- *    the only record serializer and simulations are deterministic; and
+ *    workers did; and
  *  - writes the transport-health counters (reconnects, corrupt frames
  *    dropped, duplicates suppressed, sequence gaps, leases revoked,
  *    stale results dropped) to `transport_health.json` in
@@ -103,18 +102,15 @@ struct DistReport
     std::uint64_t leases_revoked = 0;   ///< Idle-heartbeat revocations.
     std::uint64_t stale_results_dropped = 0;  ///< Results with an
                                     ///< outdated lease (not committed).
-    std::uint64_t log_records = 0;  ///< Records appended to
-                                    ///< shards/coordinator.log for
-                                    ///< non-journaling workers.
 };
 
 /**
  * Run jobs[pending...] across worker processes, filling
  * outcomes[i] for each pending i (other entries are untouched — the
  * caller already resolved them from the journal). Baselines requested
- * via compare_baseline are dispatched as explicit worker jobs, primed
- * into this process's baseline cache, and journaled into the canonical
- * directory (matching the in-process baselineFor). `num_workers` 0
+ * via compare_baseline are dispatched as explicit worker jobs,
+ * journaled on receipt, and primed into this process's baseline cache
+ * (matching the in-process baselineFor). `num_workers` 0
  * means sweepDistWorkers(), or the BINGO_DIST_HOSTS host count when
  * that is the only configuration given.
  *
@@ -122,8 +118,7 @@ struct DistReport
  * launched (no BINGO_DIST_HOSTS and the bingo_worker binary cannot be
  * located via $BINGO_WORKER_BIN or next to the current executable);
  * the caller then runs in-process as if distribution were never
- * requested. Throws only on journal-merge conflicts, which mean
- * nondeterminism and must never be papered over.
+ * requested.
  */
 bool runSweepDistributed(const std::vector<SweepJob> &jobs,
                          const std::vector<std::size_t> &pending,

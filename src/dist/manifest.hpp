@@ -61,8 +61,8 @@ bool manifestLoad(const std::string &journal_dir,
 /**
  * `bingo_worker --sweep <manifest>` entry point: run the manifest's
  * sweep with the journal directory set to the manifest's own directory
- * (resuming from any partial journal state, including a dead
- * coordinator's merged-on-open shards). Honors BINGO_DIST_WORKERS /
+ * (resuming from any partial journal state, including whatever a
+ * dead coordinator committed). Honors BINGO_DIST_WORKERS /
  * BINGO_DIST_HOSTS like any other sweep driver. Returns the process
  * exit code: 0 when every job completed Ok/Degraded/Skipped, 1 when
  * any failed, 64 when the manifest cannot be read.

@@ -3,11 +3,12 @@
  * Wire protocol between the sweep coordinator and its bingo_worker
  * processes (src/dist/coordinator.hpp, src/dist/worker.hpp).
  *
- * Framing — CRC-checked, sequence-numbered `BJF2` frames over an
- * abstract ByteChannel — lives in dist/transport.hpp. This file is the
- * message layer: frame types plus the payload codecs. Payloads are the
- * same pipe-separated, length-prefixed-string, doubles-as-IEEE-bits
- * text the journal uses, so every value round-trips bit-exactly.
+ * Framing — CRC-checked, sequence-numbered `BJF2` frames over the
+ * worker's stdin/stdout pipes — lives in dist/transport.hpp. This
+ * file is the message layer: frame types plus the payload codecs.
+ * Payloads are the same pipe-separated, length-prefixed-string,
+ * doubles-as-IEEE-bits text the journal uses, so every value
+ * round-trips bit-exactly.
  *
  * Messages:
  *  - coordinator → worker: `job` (a fully serialized SweepJob plus the
@@ -26,9 +27,9 @@
  * Leases: every dispatch of a work item carries a fresh lease token
  * (a per-item epoch counter). A result is committed only if its lease
  * matches the item's current lease, so a stalled worker that resurfaces
- * after its job was re-dispatched — and whose shard no longer counts —
- * cannot double-commit: at-most-once commit is an invariant of the
- * coordinator, not a property of worker good behaviour.
+ * after its job was re-dispatched cannot double-commit: at-most-once
+ * commit is an invariant of the coordinator, not a property of worker
+ * good behaviour.
  *
  * Drift guard: the worker re-derives the job fingerprint from the
  * decoded SweepJob and refuses a mismatch. A SystemConfig field added
@@ -77,11 +78,10 @@ struct WireJob
     std::uint64_t lease = 0;       ///< Dispatch epoch; echoed in result.
     std::string fingerprint;       ///< jobFingerprint(job), precomputed.
     SweepJob job;
-    /// Baseline warm, not a sweep job: the worker runs it and returns
-    /// the record bytes, but does NOT journal it into its shard — the
-    /// coordinator journals baselines itself (exactly once, like the
-    /// in-process baselineFor), keeping the merged journal
-    /// byte-identical to a single-process run.
+    /// Baseline warm, not a sweep job. Neither end branches on it (the
+    /// coordinator tracks baselines itself); it stays on the wire
+    /// because the sweep manifest reuses this codec, and the
+    /// manifest's bytes are part of the journal oracle.
     bool baseline = false;
 };
 

@@ -8,7 +8,6 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -41,18 +40,17 @@ setNonBlocking(int fd)
     return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-/** Shared post-spawn bookkeeping once a link is established. */
+/** Post-spawn bookkeeping once the worker's pipes are connected. */
 void
-armWorker(WorkerProc &out, pid_t pid, unsigned slot,
-          std::unique_ptr<ByteChannel> channel, bool journals_locally)
+armWorker(WorkerProc &out, pid_t pid, unsigned slot, int read_fd,
+          int write_fd)
 {
     out.pid = pid;
     out.slot = slot;
     ++out.spawn_count;
     out.said_hello = false;
-    out.journals_locally = journals_locally;
     out.busy_hint = false;
-    out.link = std::make_unique<FramedLink>(std::move(channel));
+    out.link = std::make_unique<FramedLink>(read_fd, write_fd);
     // The coordinator's send side participates in transport chaos too;
     // spawn_count as the epoch keeps a respawned slot's schedule fresh.
     out.link->enableFaults(chaos::transportChaosFromEnv(),
@@ -123,59 +121,28 @@ sweepDistHosts()
 }
 
 bool
-spawnWorker(const std::string &binary, const std::string &shard_dir,
+spawnWorker(const std::string &binary, const std::string *host,
             unsigned slot, WorkerProc &out)
 {
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
-        return false;
-
     // Epoch for the *worker's* fault stream: it must change across
     // respawns (argv, since a fresh exec re-reads it) or a
-    // deterministic first-frame fault would repeat forever.
+    // deterministic first-frame fault would repeat forever. Every
+    // string the child needs is built before fork.
+    const std::string slot_str = std::to_string(slot);
     const std::string epoch_str = std::to_string(out.spawn_count + 1);
+    const std::string command =
+        host == nullptr ? std::string()
+                        : *host + " --stdio --slot " + slot_str +
+                              " --fault-epoch " + epoch_str;
+    const char *direct_argv[] = {binary.c_str(),   "--stdio",
+                                 "--slot",         slot_str.c_str(),
+                                 "--fault-epoch",  epoch_str.c_str(),
+                                 nullptr};
+    const char *shell_argv[] = {"sh", "-c", command.c_str(), nullptr};
+    const char *path = host == nullptr ? binary.c_str() : "/bin/sh";
+    const char *const *argv =
+        host == nullptr ? direct_argv : shell_argv;
 
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        return false;
-    }
-    if (pid == 0) {
-        // Child: worker end of the pair becomes fd 3, exec the worker.
-        ::close(fds[0]);
-        if (fds[1] != 3) {
-            if (::dup2(fds[1], 3) != 3)
-                ::_exit(127);
-            ::close(fds[1]);
-        }
-        const std::string slot_str = std::to_string(slot);
-        const char *argv[] = {binary.c_str(),    "--socket-fd", "3",
-                              "--shard-dir",     shard_dir.c_str(),
-                              "--slot",          slot_str.c_str(),
-                              "--fault-epoch",   epoch_str.c_str(),
-                              nullptr};
-        ::execv(binary.c_str(), const_cast<char *const *>(argv));
-        ::_exit(127);
-    }
-
-    ::close(fds[1]);
-    if (!setNonBlocking(fds[0])) {
-        ::close(fds[0]);
-        ::kill(pid, SIGKILL);
-        int status = 0;
-        ::waitpid(pid, &status, 0);
-        return false;
-    }
-    armWorker(out, pid, slot, std::make_unique<SocketChannel>(fds[0]),
-              /*journals_locally=*/true);
-    return true;
-}
-
-bool
-spawnWorkerCommand(const std::string &command, unsigned slot,
-                   WorkerProc &out)
-{
     int to_worker[2];   // Coordinator writes → worker stdin.
     int from_worker[2]; // Worker stdout → coordinator reads.
     if (::pipe(to_worker) != 0)
@@ -185,10 +152,6 @@ spawnWorkerCommand(const std::string &command, unsigned slot,
         ::close(to_worker[1]);
         return false;
     }
-
-    const std::string full =
-        command + " --stdio --slot " + std::to_string(slot) +
-        " --fault-epoch " + std::to_string(out.spawn_count + 1);
 
     const pid_t pid = ::fork();
     if (pid < 0) {
@@ -205,8 +168,7 @@ spawnWorkerCommand(const std::string &command, unsigned slot,
             ::_exit(127);
         ::close(to_worker[0]);
         ::close(from_worker[1]);
-        ::execl("/bin/sh", "sh", "-c", full.c_str(),
-                static_cast<char *>(nullptr));
+        ::execv(path, const_cast<char *const *>(argv));
         ::_exit(127);
     }
 
@@ -220,10 +182,7 @@ spawnWorkerCommand(const std::string &command, unsigned slot,
         ::waitpid(pid, &status, 0);
         return false;
     }
-    armWorker(out, pid, slot,
-              std::make_unique<PipeChannel>(from_worker[0],
-                                            to_worker[1]),
-              /*journals_locally=*/false);
+    armWorker(out, pid, slot, from_worker[0], to_worker[1]);
     return true;
 }
 

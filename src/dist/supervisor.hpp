@@ -1,10 +1,10 @@
 /**
  * @file
  * Worker-process mechanics for the distributed sweep runner: locating
- * the bingo_worker binary, spawning it over a socketpair or through an
- * ssh-style command template (stdio transport), and the per-worker
- * supervision state the coordinator tracks (liveness, heartbeats, the
- * in-flight job, respawn counts).
+ * the bingo_worker binary, spawning it — directly or through an
+ * ssh-style command template — with its stdin/stdout piped to the
+ * coordinator, and the per-worker supervision state the coordinator
+ * tracks (liveness, heartbeats, the in-flight job, respawn counts).
  *
  * Policy — who to kill when, what counts as poison, how often to
  * respawn — lives in coordinator.cpp; this file is the mechanism.
@@ -54,14 +54,9 @@ std::vector<std::string> sweepDistHosts();
 struct WorkerProc
 {
     pid_t pid = -1;
-    unsigned slot = 0;             ///< Stable shard slot (w<slot>).
+    unsigned slot = 0;             ///< Stable worker slot (w<slot>).
     unsigned spawn_count = 0;      ///< Spawns consumed for this slot.
     bool said_hello = false;
-    /// Worker journals into a shard dir the coordinator can merge
-    /// (socketpair workers). Command/stdio workers may run on another
-    /// machine: the coordinator appends their accepted results to its
-    /// own shard log instead.
-    bool journals_locally = true;
     /// Worker's last self-reported state (heartbeat), plus an
     /// optimistic set on dispatch. A worker that claims idle while the
     /// coordinator believes it busy is how lost Job/Result frames are
@@ -83,26 +78,19 @@ struct WorkerProc
 };
 
 /**
- * Fork/exec one bingo_worker for `slot`, journaling into `shard_dir`.
- * The worker gets its end of a SOCK_STREAM socketpair as fd 3 and is
- * invoked as `bingo_worker --socket-fd 3 --shard-dir <dir> --slot <n>
- * --fault-epoch <spawn>`. On success fills pid and a SocketChannel
- * FramedLink (coordinator end non-blocking) and resets the
- * liveness clocks. Returns false (worker marked dead) when the
- * socketpair or fork fails.
+ * Fork/exec one `bingo_worker --stdio` for `slot` with its stdin and
+ * stdout piped to the coordinator. With `host` null the worker binary
+ * is exec'd directly as `<binary> --stdio --slot <n> --fault-epoch
+ * <e>`; with a BINGO_DIST_HOSTS template it runs as `/bin/sh -c
+ * "<host> --stdio --slot <n> --fault-epoch <e>"`. The epoch is the
+ * slot's spawn number, so a respawn's transport-fault stream differs
+ * from its predecessor's. On success fills pid and the FramedLink
+ * (coordinator read end non-blocking; the worker reroutes its own
+ * stdout chatter to stderr) and resets the liveness clocks. Returns
+ * false when the pipes or fork fail.
  */
-bool spawnWorker(const std::string &binary, const std::string &shard_dir,
+bool spawnWorker(const std::string &binary, const std::string *host,
                  unsigned slot, WorkerProc &out);
-
-/**
- * Launch one worker through a BINGO_DIST_HOSTS command template:
- * `/bin/sh -c "<command> --stdio --slot <n> --fault-epoch <e>"` with
- * stdin/stdout piped to the coordinator (PipeChannel FramedLink; the
- * worker's own stdout chatter is rerouted to stderr on its side).
- * Returns false when the pipes or fork fail.
- */
-bool spawnWorkerCommand(const std::string &command, unsigned slot,
-                        WorkerProc &out);
 
 /**
  * SIGKILL + reap `worker` (blocking waitpid) and close its link. Safe
@@ -110,7 +98,7 @@ bool spawnWorkerCommand(const std::string &command, unsigned slot,
  * teardown path; worker death is *detected* by the coordinator through
  * link EOF (which flushes any buffered final frames first) or a
  * heartbeat/deadline expiry, never by closing the link early — a dead
- * worker's socket may still hold its last `result`.
+ * worker's pipe may still hold its last `result`.
  */
 void killWorker(WorkerProc &worker);
 

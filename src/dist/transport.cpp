@@ -6,7 +6,6 @@
 #include <cstring>
 #include <sstream>
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/hash.hpp"
@@ -56,67 +55,6 @@ crc32(std::string_view data)
     for (unsigned char byte : data)
         crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
     return crc ^ 0xFFFFFFFFu;
-}
-
-// --- SocketChannel -----------------------------------------------------
-
-bool
-SocketChannel::write(const char *data, std::size_t size)
-{
-    if (fd_ < 0) {
-        if (error_.empty())
-            error_ = "socket channel already closed";
-        return false;
-    }
-    std::size_t sent = 0;
-    while (sent < size) {
-        // MSG_NOSIGNAL: a dead peer yields EPIPE, never SIGPIPE.
-        const ssize_t n =
-            ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            error_ = errnoMessage("send");
-            return false;
-        }
-        sent += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
-ReadStatus
-SocketChannel::read(char *buf, std::size_t size, std::size_t &got)
-{
-    got = 0;
-    if (fd_ < 0) {
-        if (error_.empty())
-            error_ = "socket channel already closed";
-        return ReadStatus::Error;
-    }
-    for (;;) {
-        const ssize_t n = ::recv(fd_, buf, size, 0);
-        if (n > 0) {
-            got = static_cast<std::size_t>(n);
-            return ReadStatus::Data;
-        }
-        if (n == 0)
-            return ReadStatus::Eof;
-        if (errno == EINTR)
-            continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return ReadStatus::WouldBlock;
-        error_ = errnoMessage("recv");
-        return ReadStatus::Error;
-    }
-}
-
-void
-SocketChannel::close()
-{
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
 }
 
 // --- PipeChannel -------------------------------------------------------
@@ -235,13 +173,13 @@ FramedLink::enableFaults(const chaos::TransportFaultPlan &plan,
 bool
 FramedLink::writeBytes(const std::string &bytes)
 {
-    if (!channel_ || !channel_->isOpen()) {
+    if (!channel_.isOpen()) {
         if (error_.empty())
-            error_ = channel_ ? channel_->error() : "no channel";
+            error_ = channel_.error();
         return false;
     }
-    if (!channel_->write(bytes.data(), bytes.size())) {
-        error_ = channel_->error();
+    if (!channel_.write(bytes.data(), bytes.size())) {
+        error_ = channel_.error();
         return false;
     }
     return true;
@@ -298,7 +236,7 @@ FramedLink::faultedWrite(std::string bytes)
             return true;
         }
         case 4:  // Sever: the connection drops mid-conversation.
-            channel_->close();
+            channel_.close();
             error_ = "transport severed by fault injection "
                      "(BINGO_CHAOS transport site)";
             return false;
@@ -433,12 +371,12 @@ FramedLink::poll(std::vector<Frame> &out)
 {
     flushStalled();
     bool progress = false;
-    if (channel_ && channel_->isOpen() && !peer_gone_) {
+    if (channel_.isOpen() && !peer_gone_) {
         char chunk[65536];
         for (;;) {
             std::size_t got = 0;
             const ReadStatus status =
-                channel_->read(chunk, sizeof(chunk), got);
+                channel_.read(chunk, sizeof(chunk), got);
             if (status == ReadStatus::Data) {
                 inbuf_.append(chunk, got);
                 continue;
@@ -449,7 +387,7 @@ FramedLink::poll(std::vector<Frame> &out)
             // peer as gone so buffered final frames still surface.
             peer_gone_ = true;
             if (status == ReadStatus::Error && error_.empty())
-                error_ = channel_->error();
+                error_ = channel_.error();
             break;
         }
     } else {
@@ -474,12 +412,12 @@ FramedLink::readBlocking(Frame &out)
             decoded_.pop_front();
             return true;
         }
-        if (peer_gone_ || !channel_ || !channel_->isOpen())
+        if (peer_gone_ || !channel_.isOpen())
             return false;
         char chunk[65536];
         std::size_t got = 0;
         const ReadStatus status =
-            channel_->read(chunk, sizeof(chunk), got);
+            channel_.read(chunk, sizeof(chunk), got);
         if (status == ReadStatus::Data) {
             inbuf_.append(chunk, got);
             continue;
@@ -488,15 +426,14 @@ FramedLink::readBlocking(Frame &out)
             continue;  // Only plausible under test harnesses.
         peer_gone_ = true;
         if (status == ReadStatus::Error && error_.empty())
-            error_ = channel_->error();
+            error_ = channel_.error();
     }
 }
 
 void
 FramedLink::close()
 {
-    if (channel_)
-        channel_->close();
+    channel_.close();
     outbox_.clear();
 }
 

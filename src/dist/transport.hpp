@@ -1,17 +1,14 @@
 /**
  * @file
- * Transport abstraction for the distributed sweep runtime.
+ * Byte-stream transport of the distributed sweep runtime. Every worker,
+ * local or launched through a BINGO_DIST_HOSTS command template (ssh
+ * stdin/stdout), speaks to the coordinator over two pipes, and a remote
+ * hop makes that stream a fault domain of its own, so it is layered:
  *
- * PR 7's coordinator spoke raw `BJF1` frames over a trusted AF_UNIX
- * socketpair. A remote hop (ssh stdin/stdout) turns the transport into
- * a fault domain of its own, so the byte stream is now layered:
- *
- *  - ByteChannel — a duplex byte stream. Two implementations:
- *    SocketChannel (the socketpair, send/recv with MSG_NOSIGNAL) and
- *    PipeChannel (a read fd + write fd pair, used for stdio/subprocess
- *    workers launched through BINGO_DIST_HOSTS command templates).
- *    Both surface broken-pipe writes as structured errors instead of
- *    SIGPIPE.
+ *  - PipeChannel — a duplex byte stream over a read fd and a write fd.
+ *    Broken-pipe writes surface as structured errors instead of
+ *    SIGPIPE (both ends ignore the signal; plain pipes have no
+ *    MSG_NOSIGNAL).
  *
  *  - FramedLink — the robustness layer. Frames are
  *    `BJF2 <type> <seq> <len> <crc32hex>\n<payload>`, with the CRC
@@ -35,9 +32,9 @@
  *
  * None of this changes what any job computes: transport faults perturb
  * delivery, and the coordinator's re-dispatch/lease machinery restores
- * exactly-once journal commits. The merged journal stays byte-identical
- * to a single-process run — that oracle is what the chaos site exists
- * to defend.
+ * exactly-once journal commits. The coordinator's journal stays
+ * byte-identical to a single-process run — that oracle is what the
+ * chaos site exists to defend.
  */
 
 #ifndef BINGO_DIST_TRANSPORT_HPP
@@ -47,7 +44,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,87 +57,50 @@ namespace bingo
 namespace dist
 {
 
-/** Outcome of one ByteChannel::read attempt. */
+/** Outcome of one PipeChannel::read attempt. */
 enum class ReadStatus
 {
     Data,        ///< `*got` bytes were read.
     WouldBlock,  ///< Non-blocking fd with nothing buffered.
     Eof,         ///< Orderly end of stream (peer exited).
-    Error,       ///< Hard error; ByteChannel::error() explains.
+    Error,       ///< Hard error; PipeChannel::error() explains.
 };
 
 /**
- * A duplex byte stream between coordinator and worker. Implementations
- * own their fds and must never raise SIGPIPE: a peer that died mid-
- * write surfaces as a structured error string, because the coordinator
- * outliving its workers is the whole point of supervision.
+ * A duplex byte stream over a separate read fd and write fd — a
+ * worker's stdout/stdin as seen from the coordinator, or stdin/stdout
+ * as seen from a `bingo_worker --stdio` worker. Owns both fds. Either
+ * fd may be -1 (half-open channels fail cleanly instead of crashing).
+ * A peer that died mid-write surfaces as a structured error string,
+ * because the coordinator outliving its workers is the whole point of
+ * supervision.
  */
-class ByteChannel
-{
-  public:
-    virtual ~ByteChannel() = default;
-
-    /** Write all of data (EINTR/short-write safe); false = hard error. */
-    virtual bool write(const char *data, std::size_t size) = 0;
-
-    /** Read up to `size` bytes into `buf`. Blocking-ness follows the
-     *  fd's own O_NONBLOCK flag. */
-    virtual ReadStatus read(char *buf, std::size_t size,
-                            std::size_t &got) = 0;
-
-    virtual void close() = 0;
-    virtual bool isOpen() const = 0;
-
-    const std::string &error() const { return error_; }
-
-  protected:
-    std::string error_;
-};
-
-/** ByteChannel over one SOCK_STREAM fd (the local socketpair). */
-class SocketChannel final : public ByteChannel
-{
-  public:
-    explicit SocketChannel(int fd) : fd_(fd) {}
-    ~SocketChannel() override { close(); }
-
-    bool write(const char *data, std::size_t size) override;
-    ReadStatus read(char *buf, std::size_t size,
-                    std::size_t &got) override;
-    void close() override;
-    bool isOpen() const override { return fd_ >= 0; }
-
-  private:
-    int fd_ = -1;
-};
-
-/**
- * ByteChannel over a separate read fd and write fd — a subprocess's
- * stdout/stdin as seen from the coordinator, or stdin/stdout as seen
- * from a `bingo_worker --stdio` worker. Either fd may be -1 (half-open
- * channels fail cleanly instead of crashing).
- */
-class PipeChannel final : public ByteChannel
+class PipeChannel
 {
   public:
     PipeChannel(int read_fd, int write_fd)
         : read_fd_(read_fd), write_fd_(write_fd)
     {
     }
-    ~PipeChannel() override { close(); }
+    ~PipeChannel() { close(); }
+    PipeChannel(const PipeChannel &) = delete;
+    PipeChannel &operator=(const PipeChannel &) = delete;
 
-    bool write(const char *data, std::size_t size) override;
-    ReadStatus read(char *buf, std::size_t size,
-                    std::size_t &got) override;
-    void close() override;
-    bool isOpen() const override
-    {
-        return read_fd_ >= 0 || write_fd_ >= 0;
-    }
+    /** Write all of data (EINTR/short-write safe); false = hard error. */
+    bool write(const char *data, std::size_t size);
+
+    /** Read up to `size` bytes into `buf`. Blocking-ness follows the
+     *  read fd's own O_NONBLOCK flag. */
+    ReadStatus read(char *buf, std::size_t size, std::size_t &got);
+
+    void close();
+    bool isOpen() const { return read_fd_ >= 0 || write_fd_ >= 0; }
+    const std::string &error() const { return error_; }
 
   private:
     int read_fd_ = -1;
     int write_fd_ = -1;
+    std::string error_;
 };
 
 /** What the robustness layer saw and did on one link. */
@@ -174,10 +133,11 @@ enum class LinkRole : std::uint64_t
 };
 
 /**
- * CRC-checked, sequence-numbered framing over a ByteChannel, with
- * optional deterministic fault injection on the send side. One
- * FramedLink per endpoint per direction-pair; the coordinator holds
- * one per worker slot, the worker holds one.
+ * CRC-checked, sequence-numbered framing over a PipeChannel (which it
+ * owns: reading `read_fd`, writing `write_fd`), with optional
+ * deterministic fault injection on the send side. One FramedLink per
+ * endpoint; the coordinator holds one per worker slot, the worker
+ * holds one.
  *
  * Thread-safety: callers serialize sends externally (the worker wraps
  * send() in the same mutex its heartbeat thread uses); reads are
@@ -186,8 +146,7 @@ enum class LinkRole : std::uint64_t
 class FramedLink
 {
   public:
-    explicit FramedLink(std::unique_ptr<ByteChannel> channel)
-        : channel_(std::move(channel))
+    FramedLink(int read_fd, int write_fd) : channel_(read_fd, write_fd)
     {
     }
 
@@ -224,7 +183,7 @@ class FramedLink
     void flushStalled();
 
     void close();
-    bool isOpen() const { return channel_ && channel_->isOpen(); }
+    bool isOpen() const { return channel_.isOpen(); }
     const std::string &error() const { return error_; }
 
     LinkStats &stats() { return stats_; }
@@ -240,7 +199,7 @@ class FramedLink
     bool writeBytes(const std::string &bytes);
     bool faultedWrite(std::string bytes);
 
-    std::unique_ptr<ByteChannel> channel_;
+    PipeChannel channel_;
     std::string error_;
     LinkStats stats_;
 

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -18,6 +17,7 @@
 
 #include "chaos/chaos.hpp"
 #include "dist/protocol.hpp"
+#include "dist/transport.hpp"
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
 
@@ -30,31 +30,18 @@ namespace
 {
 
 /**
- * Directory for the `:once` knob marker files — shared by every worker
- * of the sweep so the knob fires in exactly one process.
- * BINGO_DIST_TEST_DIR when set (tests that byte-compare journal
- * directories must keep markers out of the journal tree), otherwise
- * the shards root. Empty — knobs disabled — for a shard-less stdio
- * worker without BINGO_DIST_TEST_DIR.
+ * Claim the `:once` marker `tag.<index>.fired` in BINGO_DIST_TEST_DIR,
+ * the directory every worker of the sweep shares so the knob fires in
+ * exactly one process; false = already claimed by another worker, or
+ * BINGO_DIST_TEST_DIR is unset.
  */
-std::string
-markerDir(const std::string &shard_dir)
-{
-    if (const char *env = std::getenv("BINGO_DIST_TEST_DIR");
-        env != nullptr && *env != '\0')
-        return env;
-    if (shard_dir.empty())
-        return {};
-    return std::filesystem::path(shard_dir).parent_path().string();
-}
-
-/** Claim the `:once` marker `tag.<index>.fired`; false = already
- *  claimed by another worker (or no marker dir exists). */
 bool
-claimOnce(const std::string &dir, const char *tag, std::uint64_t index)
+claimOnce(const char *tag, std::uint64_t index)
 {
-    if (dir.empty())
+    const char *env = std::getenv("BINGO_DIST_TEST_DIR");
+    if (env == nullptr || *env == '\0')
         return false;
+    const std::string dir = env;
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     const std::string marker = dir + "/" + tag + "." +
@@ -75,8 +62,7 @@ claimOnce(const std::string &dir, const char *tag, std::uint64_t index)
  * a poison job.
  */
 bool
-knobFires(const char *env_name, std::uint64_t index,
-          const std::string &shard_dir, const char *tag)
+knobFires(const char *env_name, std::uint64_t index, const char *tag)
 {
     const char *value = std::getenv(env_name);
     if (value == nullptr || *value == '\0')
@@ -89,7 +75,7 @@ knobFires(const char *env_name, std::uint64_t index,
         return true;
     if (std::strcmp(end, ":once") != 0)
         return false;
-    return claimOnce(markerDir(shard_dir), tag, index);
+    return claimOnce(tag, index);
 }
 
 /**
@@ -97,7 +83,7 @@ knobFires(const char *env_name, std::uint64_t index,
  * job `index` while heartbeating idle. 0 = knob does not fire.
  */
 std::uint64_t
-stallKnobMs(std::uint64_t index, const std::string &shard_dir)
+stallKnobMs(std::uint64_t index)
 {
     const char *value = std::getenv("BINGO_DIST_TEST_STALL_JOB");
     if (value == nullptr || *value == '\0')
@@ -114,19 +100,18 @@ stallKnobMs(std::uint64_t index, const std::string &shard_dir)
         return ms;
     if (std::strcmp(end, ":once") != 0)
         return 0;
-    return claimOnce(markerDir(shard_dir), "stall", index) ? ms : 0;
+    return claimOnce("stall", index) ? ms : 0;
 }
 
 } // namespace
 
 int
-workerMain(std::unique_ptr<ByteChannel> channel,
-           const std::string &shard_dir, unsigned slot,
+workerMain(int read_fd, int write_fd, unsigned slot,
            std::uint64_t fault_epoch)
 {
     // A foreground Ctrl-C signals the whole process group, workers
     // included. The coordinator owns drain policy — workers ignore
-    // terminal signals so in-flight jobs finish and journal, and exit
+    // terminal signals so in-flight jobs finish and report, and exit
     // via Shutdown frame or link EOF (the coordinator SIGKILLs
     // stragglers). A worker can never outlive its coordinator: EOF on
     // the transport is unfakeable. SIGPIPE is ignored so a coordinator
@@ -136,19 +121,7 @@ workerMain(std::unique_ptr<ByteChannel> channel,
     std::signal(SIGTERM, SIG_IGN);
     std::signal(SIGPIPE, SIG_IGN);
 
-    const bool journal_locally = !shard_dir.empty();
-    if (journal_locally) {
-        std::error_code ec;
-        std::filesystem::create_directories(shard_dir, ec);
-        if (ec) {
-            std::fprintf(stderr,
-                         "bingo_worker: cannot create shard dir %s: %s\n",
-                         shard_dir.c_str(), ec.message().c_str());
-            return 1;
-        }
-    }
-
-    FramedLink link(std::move(channel));
+    FramedLink link(read_fd, write_fd);
     link.enableFaults(chaos::transportChaosFromEnv(), LinkRole::Worker,
                       slot, fault_epoch);
 
@@ -215,7 +188,7 @@ workerMain(std::unique_ptr<ByteChannel> channel,
         // then runs the job anyway and its late result must be dropped
         // as stale — the at-most-once-commit test.
         if (const std::uint64_t stall_ms =
-                stallKnobMs(wire.index, shard_dir);
+                stallKnobMs(wire.index);
             stall_ms > 0) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(stall_ms));
@@ -249,12 +222,10 @@ workerMain(std::unique_ptr<ByteChannel> channel,
             continue;
         }
 
-        if (knobFires("BINGO_DIST_TEST_CRASH_JOB", wire.index,
-                      shard_dir, "crash")) {
+        if (knobFires("BINGO_DIST_TEST_CRASH_JOB", wire.index, "crash")) {
             ::raise(SIGKILL);  // Indistinguishable from kill -9.
         }
-        if (knobFires("BINGO_DIST_TEST_HANG_JOB", wire.index,
-                      shard_dir, "hang")) {
+        if (knobFires("BINGO_DIST_TEST_HANG_JOB", wire.index, "hang")) {
             mute.store(true, std::memory_order_relaxed);
             for (;;)
                 ::pause();  // Until the coordinator loses patience.
@@ -271,17 +242,8 @@ workerMain(std::unique_ptr<ByteChannel> channel,
         result.error = outcome.error;
         result.runs = completedRuns() - runs_before;
         result.cycles = simulatedCycles() - cycles_before;
-        if (outcome.ok()) {
+        if (outcome.ok())
             result.record = journalEncode(wire.fingerprint, run);
-            if (!wire.baseline && journal_locally) {
-                try {
-                    journalStore(shard_dir, wire.fingerprint, run);
-                } catch (const std::exception &e) {
-                    std::fprintf(stderr, "bingo_worker[%u]: %s\n",
-                                 slot, e.what());
-                }
-            }
-        }
         const bool sent = send(MsgType::Result, encodeResult(result));
         busy.store(false, std::memory_order_relaxed);
         if (!sent)

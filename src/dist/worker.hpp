@@ -1,12 +1,12 @@
 /**
  * @file
  * bingo_worker process body: receive serialized SweepJobs from the
- * coordinator over a FramedLink (socketpair or stdio transport),
- * simulate them with the same runSingleJob() kernel the in-process
- * runner uses, journal each completed job into this worker's own shard
- * directory (when it has one — stdio workers may not share a
- * filesystem with the coordinator), and stream the outcomes (including
- * the exact journal-record bytes and the job's lease token) back.
+ * coordinator over a FramedLink on the worker's stdin/stdout, simulate
+ * them with the same runSingleJob() kernel the in-process runner uses,
+ * and stream the outcomes (including the exact journal-record bytes and
+ * the job's lease token) back. Workers never touch disk: the
+ * coordinator journals each accepted result, so a worker may run on a
+ * machine that shares no filesystem with it.
  *
  * Liveness: a dedicated heartbeat thread sends a frame every ~200 ms
  * even while a simulation runs — carrying the worker's busy/idle state
@@ -27,19 +27,16 @@
  *    revokes the lease and re-dispatches; the stalled worker's late
  *    result must be dropped as stale — the lease-guard test.
  * With `:once` the knob fires only in the first worker process to draw
- * the job (a marker file next to the shards makes respawned workers
- * and re-dispatches proceed normally), turning "poison job" into
- * "transient crash".
+ * the job (an O_EXCL marker file in BINGO_DIST_TEST_DIR makes
+ * respawned workers and re-dispatches proceed normally), turning
+ * "poison job" into "transient crash". Without BINGO_DIST_TEST_DIR a
+ * `:once` knob never fires.
  */
 
 #ifndef BINGO_DIST_WORKER_HPP
 #define BINGO_DIST_WORKER_HPP
 
 #include <cstdint>
-#include <memory>
-#include <string>
-
-#include "dist/transport.hpp"
 
 namespace bingo
 {
@@ -47,16 +44,14 @@ namespace dist
 {
 
 /**
- * Run the worker protocol loop over `channel` (blocking), journaling
- * into `shard_dir` as worker `slot` — an empty `shard_dir` disables
- * local journaling (stdio/remote workers; the coordinator logs their
- * results instead). `fault_epoch` seeds this process's transport-chaos
+ * Run the worker protocol loop (blocking) as worker `slot`, reading
+ * frames from `read_fd` and writing them to `write_fd` (both owned
+ * from here on). `fault_epoch` seeds this process's transport-chaos
  * stream so respawns do not replay their predecessor's faults. Returns
  * the process exit code: 0 after a clean Shutdown/EOF drain, nonzero
  * on protocol errors.
  */
-int workerMain(std::unique_ptr<ByteChannel> channel,
-               const std::string &shard_dir, unsigned slot,
+int workerMain(int read_fd, int write_fd, unsigned slot,
                std::uint64_t fault_epoch);
 
 } // namespace dist

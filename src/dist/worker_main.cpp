@@ -1,11 +1,11 @@
 /**
  * @file
- * bingo_worker entry point. Three modes:
- *  - `--socket-fd <fd>` — spawned by the local distributed-sweep
- *    coordinator with its protocol socket on an inherited fd;
- *  - `--stdio` — launched through a BINGO_DIST_HOSTS command template
- *    (typically ssh): the protocol runs over stdin/stdout, which are
- *    re-pointed so stray prints can never corrupt the frame stream;
+ * bingo_worker entry point. Two modes:
+ *  - `--stdio` — a worker of the distributed sweep runner, exec'd by
+ *    the coordinator for a BINGO_DIST_WORKERS slot or launched through
+ *    a BINGO_DIST_HOSTS command template (typically ssh): the protocol
+ *    runs over stdin/stdout, which are re-pointed so stray prints can
+ *    never corrupt the frame stream;
  *  - `--sweep <manifest>` — run/resume a whole sweep described by a
  *    SweepManifest (dist/manifest.hpp), journaling next to it. This is
  *    the coordinator-crash recovery path: point it at the manifest of
@@ -18,13 +18,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include <unistd.h>
 
 #include "dist/manifest.hpp"
-#include "dist/transport.hpp"
 #include "dist/worker.hpp"
 
 namespace
@@ -35,17 +33,14 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s --socket-fd <fd> --shard-dir <dir> --slot <n>\n"
-        "           [--fault-epoch <e>]\n"
-        "       %s --stdio [--shard-dir <dir>] [--slot <n>]\n"
-        "           [--fault-epoch <e>]\n"
+        "usage: %s --stdio [--slot <n>] [--fault-epoch <e>]\n"
         "       %s --sweep <manifest>\n"
         "Worker process of the distributed sweep runner; spawned by\n"
-        "the coordinator (BINGO_DIST_WORKERS=N over a socketpair, or\n"
-        "BINGO_DIST_HOSTS command templates over stdio). The --sweep\n"
-        "form runs or resumes a manifest's sweep directly — use it to\n"
-        "recover a sweep whose coordinator died.\n",
-        argv0, argv0, argv0);
+        "the coordinator (BINGO_DIST_WORKERS=N, or BINGO_DIST_HOSTS\n"
+        "command templates) with the protocol on stdin/stdout. The\n"
+        "--sweep form runs or resumes a manifest's sweep directly —\n"
+        "use it to recover a sweep whose coordinator died.\n",
+        argv0, argv0);
     return 64;
 }
 
@@ -54,21 +49,13 @@ usage(const char *argv0)
 int
 main(int argc, char **argv)
 {
-    int socket_fd = -1;
     bool stdio = false;
-    std::string shard_dir;
     std::string manifest;
     long slot = 0;
     long fault_epoch = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--stdio") == 0) {
             stdio = true;
-        } else if (i + 1 < argc &&
-                   std::strcmp(argv[i], "--socket-fd") == 0) {
-            socket_fd = std::atoi(argv[++i]);
-        } else if (i + 1 < argc &&
-                   std::strcmp(argv[i], "--shard-dir") == 0) {
-            shard_dir = argv[++i];
         } else if (i + 1 < argc &&
                    std::strcmp(argv[i], "--slot") == 0) {
             slot = std::atol(argv[++i]);
@@ -85,30 +72,21 @@ main(int argc, char **argv)
 
     if (!manifest.empty())
         return bingo::dist::runManifestSweep(manifest);
-
-    if (stdio) {
-        // Keep private copies of the protocol ends, then point fd 1 at
-        // stderr: any printf from the simulator (journal notices,
-        // bench-style headers) lands in the ssh session's stderr
-        // instead of corrupting the frame stream.
-        const int in_fd = ::dup(0);
-        const int out_fd = ::dup(1);
-        if (in_fd < 0 || out_fd < 0) {
-            std::fprintf(stderr,
-                         "bingo_worker: cannot dup stdio fds\n");
-            return 1;
-        }
-        ::dup2(2, 1);
-        return bingo::dist::workerMain(
-            std::make_unique<bingo::dist::PipeChannel>(in_fd, out_fd),
-            shard_dir, static_cast<unsigned>(slot),
-            static_cast<std::uint64_t>(fault_epoch));
-    }
-
-    if (socket_fd < 0 || shard_dir.empty() || slot < 0)
+    if (!stdio || slot < 0)
         return usage(argv[0]);
-    return bingo::dist::workerMain(
-        std::make_unique<bingo::dist::SocketChannel>(socket_fd),
-        shard_dir, static_cast<unsigned>(slot),
-        static_cast<std::uint64_t>(fault_epoch));
+
+    // Keep private copies of the protocol ends, then point fd 1 at
+    // stderr: any printf from the simulator (journal notices,
+    // bench-style headers) lands in the worker's stderr instead of
+    // corrupting the frame stream.
+    const int in_fd = ::dup(0);
+    const int out_fd = ::dup(1);
+    if (in_fd < 0 || out_fd < 0) {
+        std::fprintf(stderr, "bingo_worker: cannot dup stdio fds\n");
+        return 1;
+    }
+    ::dup2(2, 1);
+    return bingo::dist::workerMain(in_fd, out_fd,
+                                   static_cast<unsigned>(slot),
+                                   static_cast<std::uint64_t>(fault_epoch));
 }

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <condition_variable>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -19,6 +17,7 @@
 #include <unistd.h>
 
 #include "chaos/chaos.hpp"
+#include "common/env.hpp"
 #include "common/hash.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/manifest.hpp"
@@ -35,25 +34,6 @@ namespace bingo
 
 namespace
 {
-
-/**
- * `name` as a base-10 unsigned integer, or `fallback` when it is unset
- * or anything but digits: a sign, trailing junk or an overflow never
- * reads as a number.
- */
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *value = std::getenv(name);
-    if (value == nullptr)
-        return fallback;
-    const char *end = value + std::strlen(value);
-    std::uint64_t parsed = 0;
-    const auto [ptr, ec] = std::from_chars(value, end, parsed);
-    if (ec != std::errc() || ptr != end)
-        return fallback;
-    return parsed;
-}
 
 std::atomic<std::uint64_t> g_completed_runs{0};
 std::atomic<std::uint64_t> g_simulated_cycles{0};
@@ -742,21 +722,11 @@ runSweepOutcomes(const std::vector<SweepJob> &jobs,
     // data first, so `bingo_worker --sweep <journal>/manifest.sweep`
     // (or simply rerunning the driver) can finish it if this process is
     // kill -9'd mid-flight. The manifest is a pure function of the job
-    // list, so rewriting it on resume is byte-idempotent.
-    if (!journal_dir.empty() && !jobs.empty())
+    // list, so rewriting it on resume is byte-idempotent. A kill -9
+    // can also tear a record write; its temp file goes first.
+    if (!journal_dir.empty() && !jobs.empty()) {
+        journalDropTornWrites(journal_dir);
         dist::manifestStore(journal_dir, jobs);
-
-    if (want_dist && !journal_dir.empty()) {
-        // A previous coordinator may have died after its workers
-        // journaled results but before the merge; fold those shards in
-        // so the resume pass below sees them.
-        const ShardMergeStats leftover = journalMergeShards(journal_dir);
-        if (leftover.merged > 0) {
-            std::printf("Journal: recovered %llu record(s) from "
-                        "leftover worker shards\n",
-                        static_cast<unsigned long long>(
-                            leftover.merged));
-        }
     }
 
     // Resume pass: journaled jobs become Skipped outcomes up front and

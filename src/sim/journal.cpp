@@ -1,6 +1,5 @@
 #include "sim/journal.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cinttypes>
 #include <cstdint>
@@ -422,19 +421,6 @@ atomicWriteRecord(const std::string &path, const std::string &content)
     }
 }
 
-/** Read a whole file; false when it cannot be opened. */
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream text;
-    text << in.rdbuf();
-    out = text.str();
-    return true;
-}
-
 } // namespace
 
 void
@@ -451,191 +437,16 @@ journalStore(const std::string &dir, const std::string &fingerprint,
                       journalEncode(fingerprint, result));
 }
 
-std::string
-journalShardRoot(const std::string &dir)
-{
-    return (std::filesystem::path(dir) / "shards").string();
-}
-
-std::string
-journalShardDir(const std::string &dir, unsigned slot)
-{
-    return (std::filesystem::path(journalShardRoot(dir)) /
-            ("w" + std::to_string(slot)))
-        .string();
-}
-
 void
-journalLogAppend(const std::string &path, const std::string &fingerprint,
-                 const std::string &record)
+journalDropTornWrites(const std::string &dir)
 {
     namespace fs = std::filesystem;
     std::error_code ec;
-    fs::create_directories(fs::path(path).parent_path(), ec);
-    if (ec)
-        throw std::runtime_error("journal: cannot create parent of " +
-                                 path + ": " + ec.message());
-    std::ofstream out(path, std::ios::app | std::ios::binary);
-    if (!out)
-        throw std::runtime_error("journal: cannot append to " + path);
-    out << "rec " << fingerprint << ' ' << record.size() << '\n'
-        << record << '\n';
-    out.flush();
-    if (!out)
-        throw std::runtime_error("journal: append failed for " + path);
-}
-
-namespace
-{
-
-/**
- * Fold one shard record (from a .run file or a log entry) into the
- * canonical dir. Shared by both merge paths so dedup/conflict/corrupt
- * semantics cannot drift. Throws on conflicting duplicates.
- */
-void
-mergeOneRecord(const std::string &dir, const std::string &fingerprint,
-               const std::string &content, const std::string &source,
-               ShardMergeStats &stats)
-{
-    namespace fs = std::filesystem;
-    RunResult decoded;
-    if (!journalDecode(content, fingerprint, decoded)) {
-        std::fprintf(stderr,
-                     "journal: skipping corrupt shard record %s\n",
-                     source.c_str());
-        ++stats.corrupt;
-        return;
+    for (const auto &entry : fs::directory_iterator(dir, ec)) {
+        if (entry.path().filename().string().find(".tmp.") !=
+            std::string::npos)
+            fs::remove(entry.path(), ec);
     }
-    const std::string canonical = journalRecordPath(dir, fingerprint);
-    std::string existing;
-    if (readFile(canonical, existing)) {
-        if (existing != content) {
-            throw std::runtime_error(
-                "journal: conflicting records for fingerprint " +
-                fingerprint + ": shard " + source +
-                " disagrees with canonical " + canonical +
-                " (nondeterministic run or cross-config "
-                "contamination)");
-        }
-        ++stats.deduplicated;
-    } else {
-        atomicWriteRecord(canonical, content);
-        ++stats.merged;
-    }
-}
-
-/**
- * Fold one append-only shard log (journalLogAppend format) into the
- * canonical dir. A malformed or incomplete entry ends recovery: the
- * writer died mid-append (or the tail is disk garbage), and everything
- * after the cut is unreliable. The valid prefix has already merged.
- */
-void
-mergeShardLog(const std::string &dir, const std::filesystem::path &log,
-              ShardMergeStats &stats)
-{
-    ++stats.shard_logs;
-    std::string content;
-    if (!readFile(log.string(), content))
-        return;
-    std::size_t pos = 0;
-    std::size_t recovered = 0;
-    while (pos < content.size()) {
-        const std::size_t entry_start = pos;
-        const std::size_t newline = content.find('\n', pos);
-        bool complete = false;
-        std::string fingerprint;
-        std::size_t len = 0;
-        if (newline != std::string::npos) {
-            std::istringstream header(
-                content.substr(pos, newline - pos));
-            if (expect(header, "rec") && (header >> fingerprint) &&
-                (header >> len) && len <= 64u * 1024u * 1024u &&
-                newline + 1 + len < content.size() &&
-                content[newline + 1 + len] == '\n')
-                complete = true;  // Trailing '\n' = commit marker.
-        }
-        if (!complete) {
-            std::fprintf(
-                stderr,
-                "journal: shard log %s: truncated tail at byte %zu "
-                "(recovered %zu complete record(s) before the cut)\n",
-                log.string().c_str(), entry_start, recovered);
-            ++stats.truncated_tails;
-            break;
-        }
-        mergeOneRecord(dir, fingerprint,
-                       content.substr(newline + 1, len),
-                       log.string() + " (entry at byte " +
-                           std::to_string(entry_start) + ")",
-                       stats);
-        ++recovered;
-        pos = newline + 1 + len + 1;
-    }
-}
-
-} // namespace
-
-ShardMergeStats
-journalMergeShards(const std::string &dir)
-{
-    namespace fs = std::filesystem;
-    ShardMergeStats stats;
-    const fs::path root(journalShardRoot(dir));
-    std::error_code ec;
-    if (!fs::is_directory(root, ec))
-        return stats;
-
-    std::vector<fs::path> shard_dirs;
-    std::vector<fs::path> shard_logs;
-    for (const auto &entry : fs::directory_iterator(root, ec)) {
-        if (entry.is_directory())
-            shard_dirs.push_back(entry.path());
-        else if (entry.is_regular_file() &&
-                 entry.path().extension() == ".log")
-            shard_logs.push_back(entry.path());
-    }
-    // Deterministic merge order, so which duplicate "wins" (they are
-    // byte-identical anyway) never depends on directory enumeration.
-    std::sort(shard_dirs.begin(), shard_dirs.end());
-
-    for (const fs::path &shard : shard_dirs) {
-        ++stats.shard_dirs;
-        std::vector<fs::path> records;
-        for (const auto &entry : fs::directory_iterator(shard, ec)) {
-            if (entry.is_regular_file() &&
-                entry.path().extension() == ".run")
-                records.push_back(entry.path());
-        }
-        std::sort(records.begin(), records.end());
-        for (const fs::path &record : records) {
-            const std::string fingerprint = record.stem().string();
-            std::string content;
-            if (!readFile(record.string(), content)) {
-                std::fprintf(stderr,
-                             "journal: skipping unreadable shard "
-                             "record %s\n",
-                             record.string().c_str());
-                ++stats.corrupt;
-                fs::remove(record, ec);
-                continue;
-            }
-            mergeOneRecord(dir, fingerprint, content, record.string(),
-                           stats);
-            fs::remove(record, ec);
-        }
-        // Leave non-record droppings (stale temp files, test markers)
-        // behind only if present; an emptied shard dir is removed.
-        fs::remove(shard, ec);
-    }
-    std::sort(shard_logs.begin(), shard_logs.end());
-    for (const fs::path &log : shard_logs) {
-        mergeShardLog(dir, log, stats);
-        fs::remove(log, ec);
-    }
-    fs::remove(root, ec);
-    return stats;
 }
 
 } // namespace bingo

@@ -13,19 +13,18 @@
  * different experiment. Doubles are stored as their IEEE-754 bit
  * patterns, making a resumed table bit-identical, not just close.
  *
- * Shards: the distributed runner (src/dist) gives every worker process
- * its own shard directory under `<dir>/shards/` to journal into, and
- * the coordinator folds the shards back into the canonical directory
- * with journalMergeShards(). Because the record serializer is shared
- * (journalEncode is the only writer) and simulations are
- * deterministic, a merged distributed journal is byte-identical to the
+ * Distributed sweeps (src/dist) write the same journal: workers send
+ * each result's journalEncode bytes over the wire, and the coordinator
+ * decodes them and commits them here with journalStore, the only
+ * journal writer. Because journalEncode is the only record serializer,
+ * it round-trips through journalDecode bit for bit, and simulations
+ * are deterministic, a distributed journal is byte-identical to the
  * journal of a single-process run of the same jobs.
  */
 
 #ifndef BINGO_SIM_JOURNAL_HPP
 #define BINGO_SIM_JOURNAL_HPP
 
-#include <cstddef>
 #include <string>
 
 #include "sim/metrics.hpp"
@@ -66,11 +65,22 @@ void journalStore(const std::string &dir, const std::string &fingerprint,
                   const RunResult &result);
 
 /**
+ * Delete the temp files of writes into `dir` that never finished.
+ * journalStore and the sweep manifest write `<name>.tmp.<n>` and rename
+ * it into place, so a writer kill -9'd in between leaves one behind;
+ * the record it would have become was never committed, and its job
+ * simply re-runs. Call when a sweep starts on `dir`, while no other
+ * process writes it. Safe when `dir` does not exist.
+ */
+void journalDropTornWrites(const std::string &dir);
+
+/**
  * Serialize `result` into the exact bytes journalStore writes — the
- * single record serializer shared by the journal, the worker shards,
- * and the coordinator/worker wire protocol, which is what makes
- * "merged shards are byte-identical to a single-process journal" a
- * structural property rather than a hope.
+ * single record serializer shared by the journal and the
+ * coordinator/worker wire protocol, which (with journalDecode's
+ * bit-exact round-trip) is what makes "a distributed journal is
+ * byte-identical to a single-process journal" a structural property
+ * rather than a hope.
  */
 std::string journalEncode(const std::string &fingerprint,
                           const RunResult &result);
@@ -82,62 +92,6 @@ std::string journalEncode(const std::string &fingerprint,
  */
 bool journalDecode(const std::string &text,
                    const std::string &fingerprint, RunResult &out);
-
-/** `<dir>/shards`: where worker shard directories live. */
-std::string journalShardRoot(const std::string &dir);
-
-/** Shard directory of worker slot `slot` under journal `dir`. */
-std::string journalShardDir(const std::string &dir, unsigned slot);
-
-/**
- * Append one record to an append-only shard log at `path` (created on
- * first use). Entry format: `rec <fingerprint> <len>\n<record bytes>\n`
- * — the trailing newline is the commit marker journalMergeShards
- * checks when recovering a log whose writer died mid-append. Used by
- * the coordinator for results from workers that cannot journal into a
- * local shard directory (stdio/remote transports). Throws
- * std::runtime_error when the log cannot be written.
- */
-void journalLogAppend(const std::string &path,
-                      const std::string &fingerprint,
-                      const std::string &record);
-
-/** What journalMergeShards did, for logs and tests. */
-struct ShardMergeStats
-{
-    std::size_t shard_dirs = 0;   ///< Shard directories visited.
-    std::size_t shard_logs = 0;   ///< `shards/*.log` files folded in.
-    std::size_t merged = 0;       ///< Records moved into the canonical dir.
-    std::size_t deduplicated = 0; ///< Identical duplicates dropped.
-    std::size_t corrupt = 0;      ///< Truncated/garbled records skipped.
-    std::size_t truncated_tails = 0; ///< Logs whose final record was cut
-                                     ///< mid-write; valid prefix kept.
-};
-
-/**
- * Fold every record under `<dir>/shards/` into the canonical journal
- * `dir`, fingerprint-keyed:
- *  - a fingerprint absent from the canonical dir is moved in (atomic
- *    temp + rename, byte-for-byte the shard record's content);
- *  - a duplicate with byte-identical payload is deduplicated (the
- *    shard copy is deleted) — re-dispatched jobs after a worker death
- *    land here, since re-simulation is deterministic;
- *  - a duplicate with a *conflicting* payload throws std::runtime_error
- *    naming both file paths: it means nondeterminism or cross-config
- *    contamination, and must never be silently resolved;
- *  - a truncated or garbled record (worker died mid-write of a temp
- *    that somehow survived, disk corruption) is skipped with a warning
- *    to stderr, never a crash — the job simply re-runs.
- * `.log` files under `shards/` (journalLogAppend output) are folded in
- * with the same rules, record by record; a log whose final entry was cut
- * mid-write — the appender was kill -9'd — keeps its valid prefix,
- * with a warning naming the log and the byte offset where recovery
- * stopped. Everything before the cut still merges, so a coordinator
- * crash costs at most one in-flight record, never the whole log.
- * Emptied shard directories (and the shards root) are removed. Safe to
- * call when `<dir>/shards` does not exist (returns all-zero stats).
- */
-ShardMergeStats journalMergeShards(const std::string &dir);
 
 } // namespace bingo
 

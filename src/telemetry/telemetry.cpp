@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "common/env.hpp"
+
 namespace bingo::telemetry
 {
 
@@ -24,12 +26,10 @@ Options
 optionsFromEnv()
 {
     Options options;
-    if (const char *value = std::getenv("BINGO_EPOCH_INSTRS")) {
-        char *end = nullptr;
-        unsigned long long parsed = std::strtoull(value, &end, 10);
-        if (end != value && *end == '\0' && parsed > 0)
-            options.epoch_instructions = parsed;
-    }
+    // 0 (like anything that is not a number) keeps the default.
+    if (const std::uint64_t epoch = envU64("BINGO_EPOCH_INSTRS", 0);
+        epoch > 0)
+        options.epoch_instructions = epoch;
     return options;
 }
 

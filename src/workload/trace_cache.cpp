@@ -1,9 +1,10 @@
 #include "workload/trace_cache.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 
+#include "common/env.hpp"
 #include "common/hash.hpp"
 #include "common/sim_check.hpp"
 #include "sim/translation.hpp"
@@ -18,18 +19,19 @@ namespace
 constexpr std::uint64_t kMebibyte = 1024 * 1024;
 constexpr std::uint64_t kDefaultBudgetMb = 512;
 
-/** BINGO_TRACE_CACHE_MB: unset/empty -> default, 0 -> disabled. */
+/**
+ * BINGO_TRACE_CACHE_MB: unset or not a number -> default, 0 ->
+ * disabled. A budget too large to count in bytes saturates instead of
+ * wrapping (a wrap to 0 would silently disable the cache).
+ */
 std::uint64_t
 budgetFromEnv()
 {
-    const char *value = std::getenv("BINGO_TRACE_CACHE_MB");
-    if (value == nullptr || *value == '\0')
-        return kDefaultBudgetMb * kMebibyte;
-    char *end = nullptr;
-    const unsigned long long mb = std::strtoull(value, &end, 10);
-    if (end == value)
-        return kDefaultBudgetMb * kMebibyte;
-    return static_cast<std::uint64_t>(mb) * kMebibyte;
+    const std::uint64_t mb =
+        envU64("BINGO_TRACE_CACHE_MB", kDefaultBudgetMb);
+    if (mb > std::numeric_limits<std::uint64_t>::max() / kMebibyte)
+        return std::numeric_limits<std::uint64_t>::max();
+    return mb * kMebibyte;
 }
 
 /**

@@ -1,13 +1,16 @@
 /**
  * @file
  * Tests for the small common utilities: address geometry, hashing,
- * RNG, saturating counters, stats helpers, and the event queue.
+ * RNG, saturating counters, stats helpers, the event queue, and the
+ * environment-integer parser.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 
+#include "common/env.hpp"
 #include "common/event_queue.hpp"
 #include "common/hash.hpp"
 #include "common/periodic_gate.hpp"
@@ -316,6 +319,38 @@ TEST(PeriodicGate, IrregularStridesMissNoBoundary)
     }
     EXPECT_EQ(fired, boundaries_crossed);
     EXPECT_GT(fired, 4u);  // The strides cross many boundaries.
+}
+
+TEST(Env, U64AcceptsOnlyWholeUnsignedDecimals)
+{
+    constexpr const char *kName = "BINGO_TEST_ENV_U64";
+    constexpr std::uint64_t kFallback = 7;
+    struct Case
+    {
+        const char *value;  ///< nullptr = unset.
+        std::uint64_t expected;
+    };
+    const Case cases[] = {
+        {nullptr, kFallback},
+        {"", kFallback},
+        {"42", 42},
+        {"0", 0},
+        {"-1", kFallback},
+        {"+3", kFallback},
+        {"4x", kFallback},
+        {" 4", kFallback},
+        {"18446744073709551615", 18446744073709551615u},
+        {"18446744073709551616", kFallback},  // 2^64 overflows.
+    };
+    for (const Case &c : cases) {
+        if (c.value == nullptr)
+            ::unsetenv(kName);
+        else
+            ::setenv(kName, c.value, 1);
+        EXPECT_EQ(envU64(kName, kFallback), c.expected)
+            << "value \"" << (c.value ? c.value : "(unset)") << "\"";
+    }
+    ::unsetenv(kName);
 }
 
 } // namespace

@@ -2,11 +2,12 @@
  * @file
  * Tests of the distributed sweep runtime (src/dist): wire protocol
  * round-trips with the fingerprint drift guard, transparent
- * BINGO_DIST_WORKERS dispatch with a merged journal byte-identical to
- * the single-process run, crash (SIGKILL) and hang recovery through
- * re-dispatch, poison-job quarantine, leftover-shard recovery after a
- * coordinator death, and the in-process fallback when no worker
- * binary exists.
+ * BINGO_DIST_WORKERS dispatch with a journal byte-identical to the
+ * single-process run, crash (SIGKILL) and hang recovery through
+ * re-dispatch, poison-job quarantine, coordinator kill -9 and manifest
+ * resume, and the in-process fallback when no worker binary exists.
+ * Every journaled test also checks that nothing wrote a
+ * `<journal>/shards` tree: the coordinator is the only journal writer.
  *
  * Worker deaths in these tests are real: the worker process SIGKILLs
  * itself mid-dispatch (BINGO_DIST_TEST_CRASH_JOB), which is
@@ -149,6 +150,13 @@ dirContents(const std::string &dir)
                         std::istreambuf_iterator<char>()));
     }
     return out;
+}
+
+/** Whether anything wrote a `shards` tree into journal `dir`. */
+bool
+hasShards(const std::string &dir)
+{
+    return std::filesystem::exists(dir + "/shards");
 }
 
 std::string
@@ -302,11 +310,9 @@ TEST(DistSweep, MergedJournalIsByteIdenticalToSingleProcess)
         EXPECT_GT(outcomes[i].result.ipcSum(), 0.0) << "job " << i;
     }
 
-    // The regression oracle: byte-identical journals, no shard
-    // leftovers.
+    // The regression oracle: byte-identical journals, no shards.
     EXPECT_EQ(dirContents(dist.path()), dirContents(reference.path()));
-    EXPECT_FALSE(
-        std::filesystem::exists(journalShardRoot(dist.path())));
+    EXPECT_FALSE(hasShards(dist.path()));
 }
 
 TEST(DistSweep, FallsBackInProcessWhenWorkerBinaryIsMissing)
@@ -322,6 +328,7 @@ TEST(DistSweep, FallsBackInProcessWhenWorkerBinaryIsMissing)
     RunResult restored;
     EXPECT_TRUE(journalLoad(dist.path(), jobFingerprint(jobs[0]),
                             restored));
+    EXPECT_FALSE(hasShards(dist.path()));
 }
 
 TEST(DistSweep, ResumesFromJournalWithoutRedispatch)
@@ -334,6 +341,7 @@ TEST(DistSweep, ResumesFromJournalWithoutRedispatch)
     const std::vector<JobOutcome> resumed = runSweepOutcomes(jobs);
     for (const JobOutcome &outcome : resumed)
         EXPECT_EQ(outcome.status, JobStatus::Skipped);
+    EXPECT_FALSE(hasShards(dist.path()));
 }
 
 // --- Crash tolerance. The worker SIGKILLs itself mid-dispatch: a
@@ -362,6 +370,7 @@ TEST(DistSweep, WorkerKilledMidJobIsRedispatchedJournalIdentical)
     for (std::size_t i = 0; i < outcomes.size(); ++i)
         EXPECT_EQ(outcomes[i].status, JobStatus::Ok) << "job " << i;
     EXPECT_EQ(dirContents(dist.path()), dirContents(reference.path()));
+    EXPECT_FALSE(hasShards(dist.path()));
 }
 
 TEST(DistSweep, HungWorkerIsKilledAndJobRedispatched)
@@ -389,6 +398,7 @@ TEST(DistSweep, HungWorkerIsKilledAndJobRedispatched)
         EXPECT_TRUE(
             journalLoad(dist.path(), jobFingerprint(job), restored));
     }
+    EXPECT_FALSE(hasShards(dist.path()));
 }
 
 TEST(DistSweep, PoisonJobIsQuarantinedAndSweepSurvives)
@@ -429,31 +439,7 @@ TEST(DistSweep, PoisonJobIsQuarantinedAndSweepSurvives)
     const std::vector<JobOutcome> resumed = runSweepOutcomes(jobs);
     EXPECT_EQ(resumed[1].status, JobStatus::Ok);
     EXPECT_EQ(resumed[0].status, JobStatus::Skipped);
-}
-
-TEST(DistSweep, LeftoverShardsFromDeadCoordinatorAreRecovered)
-{
-    // Simulate a coordinator that died after its workers journaled
-    // into shards but before the merge: the records sit under
-    // <journal>/shards/. The next distributed run must fold them in
-    // and skip those jobs.
-    const std::vector<SweepJob> jobs = smallSweep();
-    TempDir dist("leftover_run");
-    const SweepJob &done = jobs[2];
-    const std::string fp = jobFingerprint(done);
-    SystemConfig done_cfg = done.config;
-    done_cfg.seed = done.options.seed;  // As the sweep runner would.
-    const RunResult result =
-        runWorkload(done.workload, done_cfg, done.options);
-    journalStore(journalShardDir(dist.path(), 7), fp, result);
-
-    EnvVar journal("BINGO_JOURNAL_DIR", dist.path());
-    EnvVar workers("BINGO_DIST_WORKERS", "2");
-    const std::vector<JobOutcome> outcomes = runSweepOutcomes(jobs);
-    EXPECT_EQ(outcomes[2].status, JobStatus::Skipped);
-    EXPECT_EQ(outcomes[0].status, JobStatus::Ok);
-    EXPECT_FALSE(
-        std::filesystem::exists(journalShardRoot(dist.path())));
+    EXPECT_FALSE(hasShards(dist.path()));
 }
 
 // --- Lease guard. A stalled worker resurfaces after its job was
@@ -493,13 +479,15 @@ TEST(DistLease, StalledWorkerResurfacingCannotDoubleCommit)
     // At-most-once commit: the journal is exactly the single-process
     // journal; the stale results left no trace.
     EXPECT_EQ(dirContents(dist.path()), dirContents(reference.path()));
+    EXPECT_FALSE(hasShards(dist.path()));
 }
 
-// --- stdio transport. Workers launched from a BINGO_DIST_HOSTS
-// command template speak frames over stdin/stdout, have no shard
-// directory, and commit through the coordinator's append log.
+// --- Command-template workers. Workers launched from a
+// BINGO_DIST_HOSTS command template through /bin/sh speak the same
+// stdin/stdout frames as local workers, and the coordinator commits
+// their results.
 
-TEST(DistHosts, StdioWorkersCommitThroughTheCoordinatorLog)
+TEST(DistHosts, CommandTemplateWorkersCommitThroughTheCoordinator)
 {
     const std::vector<SweepJob> jobs = smallSweep();
     TempDir reference("hosts_ref");
@@ -519,12 +507,9 @@ TEST(DistHosts, StdioWorkersCommitThroughTheCoordinatorLog)
         dist::runSweepDistributed(jobs, pending, outcomes, 0, &report));
     for (std::size_t i = 0; i < outcomes.size(); ++i)
         EXPECT_EQ(outcomes[i].status, JobStatus::Ok) << "job " << i;
-    // Every commit went through the coordinator's log.
-    EXPECT_EQ(report.log_records, jobs.size());
     EXPECT_EQ(report.fallback_jobs, 0u);
     EXPECT_EQ(dirContents(dist.path()), dirContents(reference.path()));
-    EXPECT_FALSE(
-        std::filesystem::exists(journalShardRoot(dist.path())));
+    EXPECT_FALSE(hasShards(dist.path()));
 }
 
 // --- Transport chaos. Deterministic fault injection on the real byte
@@ -556,8 +541,7 @@ TEST(DistChaos, ChaoticStdioSweepCommitsEveryJobExactlyOnce)
     // journal is byte-identical to the single-process run: no job
     // lost, none double-committed.
     EXPECT_EQ(dirContents(dist.path()), dirContents(reference.path()));
-    EXPECT_FALSE(
-        std::filesystem::exists(journalShardRoot(dist.path())));
+    EXPECT_FALSE(hasShards(dist.path()));
     // The health counters surfaced what the injector did.
     const std::string health =
         readFile(telemetry.path() + "/transport_health.json");
@@ -566,7 +550,7 @@ TEST(DistChaos, ChaoticStdioSweepCommitsEveryJobExactlyOnce)
 }
 
 // --- Coordinator crash. kill -9 the coordinator mid-sweep, restart
-// from the same manifest + journal dir: the merged journal must be
+// from the same manifest + journal dir: the journal must be
 // byte-identical to an uninterrupted single-process run.
 
 TEST(DistCrash, CoordinatorKilledMidSweepResumesFromTheManifest)
@@ -586,9 +570,8 @@ TEST(DistCrash, CoordinatorKilledMidSweepResumesFromTheManifest)
          {"BINGO_DIST_TEST_STALL_JOB", "3:1200:once"}});
     ASSERT_GT(pid, 0);
 
-    // Kill -9 as soon as the first record commits to a worker shard
+    // Kill -9 as soon as the coordinator commits the first record
     // (so some — not all — work survives the crash).
-    const std::string shards = journalShardRoot(dist.path());
     int status = 0;
     bool exited_early = false;
     for (int spin = 0; spin < 5000; ++spin) {
@@ -599,8 +582,7 @@ TEST(DistCrash, CoordinatorKilledMidSweepResumesFromTheManifest)
         bool found = false;
         std::error_code ec;
         for (const auto &entry :
-             std::filesystem::recursive_directory_iterator(shards,
-                                                           ec)) {
+             std::filesystem::directory_iterator(dist.path(), ec)) {
             if (entry.is_regular_file() &&
                 entry.path().extension() == ".run") {
                 found = true;
@@ -615,9 +597,9 @@ TEST(DistCrash, CoordinatorKilledMidSweepResumesFromTheManifest)
         ::kill(pid, SIGKILL);
         ASSERT_EQ(::waitpid(pid, &status, 0), pid);
         ASSERT_TRUE(WIFSIGNALED(status));
-        // Orphaned workers notice the dead socket and exit; the
-        // stalled one finishes its nap, journals to its shard, fails
-        // to report, and dies. Let that play out before resuming.
+        // Orphaned workers see EOF on stdin and exit; the stalled one
+        // finishes its nap and its job, fails to report, and dies.
+        // Let that play out before resuming.
         std::this_thread::sleep_for(std::chrono::milliseconds(1800));
     }
 
@@ -631,8 +613,7 @@ TEST(DistCrash, CoordinatorKilledMidSweepResumesFromTheManifest)
     EXPECT_EQ(WEXITSTATUS(status), 0);
 
     EXPECT_EQ(dirContents(dist.path()), dirContents(reference.path()));
-    EXPECT_FALSE(
-        std::filesystem::exists(journalShardRoot(dist.path())));
+    EXPECT_FALSE(hasShards(dist.path()));
 }
 
 } // namespace

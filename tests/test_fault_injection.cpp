@@ -396,6 +396,49 @@ TEST(Journal, RejectsGarbledAndMismatchedRecords)
     EXPECT_FALSE(journalLoad(dir.path() + "/nope", fp, out));
 }
 
+TEST(Journal, EncodeDecodeRoundTripsBitExactly)
+{
+    // A distributed sweep's coordinator commits what it decodes from a
+    // worker's record bytes, so encode(decode(record)) must be the
+    // record byte for byte.
+    const SweepJob job = smallJob("em3d", PrefetcherKind::Stride);
+    const RunResult result =
+        runWorkload(job.workload, job.config, job.options);
+    const std::string fp = jobFingerprint(job);
+    const std::string bytes = journalEncode(fp, result);
+    RunResult decoded;
+    ASSERT_TRUE(journalDecode(bytes, fp, decoded));
+    EXPECT_EQ(journalEncode(fp, decoded), bytes);
+
+    // Wrong fingerprint, truncation, and garbage all decode to false.
+    RunResult reject;
+    EXPECT_FALSE(journalDecode(bytes, fp + "00", reject));
+    EXPECT_FALSE(
+        journalDecode(bytes.substr(0, bytes.size() - 4), fp, reject));
+    EXPECT_FALSE(journalDecode("bingo-journal 1\n", fp, reject));
+}
+
+TEST(Journal, SweepStartDropsTornRecordWrites)
+{
+    // A writer kill -9'd between journalStore's temp write and its
+    // rename leaves the temp file behind. The next sweep over the
+    // journal deletes it and re-runs the uncommitted job.
+    const TempJournalDir dir("journal_torn");
+    const EnvVar journal("BINGO_JOURNAL_DIR", dir.path());
+    const std::vector<SweepJob> jobs = {
+        smallJob("em3d", PrefetcherKind::Stride)};
+    const std::string fp = jobFingerprint(jobs[0]);
+    const std::string torn = journalRecordPath(dir.path(), fp) + ".tmp.7";
+    std::filesystem::create_directories(dir.path());
+    std::ofstream(torn) << "bingo-journal 2\nfingerpr";
+
+    const std::vector<JobOutcome> outcomes = runSweepOutcomes(jobs, 1);
+    EXPECT_EQ(outcomes[0].status, JobStatus::Ok);
+    EXPECT_FALSE(std::filesystem::exists(torn));
+    RunResult restored;
+    EXPECT_TRUE(journalLoad(dir.path(), fp, restored));
+}
+
 TEST(Journal, SweepResumesSkippingJournaledJobs)
 {
     const TempJournalDir dir("journal_resume");

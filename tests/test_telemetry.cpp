@@ -516,6 +516,10 @@ TEST(TelemetryEnvTest, Knobs)
     setenv("BINGO_EPOCH_INSTRS", "nonsense", 1);
     EXPECT_EQ(telemetry::optionsFromEnv().epoch_instructions,
               telemetry::Options{}.epoch_instructions);
+    // A sign never wraps to a 2^64 - 1 instruction epoch.
+    setenv("BINGO_EPOCH_INSTRS", "-1", 1);
+    EXPECT_EQ(telemetry::optionsFromEnv().epoch_instructions,
+              telemetry::Options{}.epoch_instructions);
     unsetenv("BINGO_EPOCH_INSTRS");
 
     setenv("BINGO_TELEMETRY", "0", 1);

@@ -2,7 +2,7 @@
  * @file
  * Tests of the hardened byte-stream transport (src/dist/transport.hpp)
  * and the sweep-manifest codec (src/dist/manifest.hpp): CRC-checked
- * frame round-trips over real socketpairs and pipes, resynchronization
+ * frame round-trips over real pipes, resynchronization
  * after corruption and truncation, duplicate suppression and
  * sequence-gap accounting, seed-stable deterministic fault injection,
  * and the manifest's byte-determinism and resumability contract.
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include <fcntl.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "chaos/chaos.hpp"
@@ -35,36 +34,35 @@ namespace bingo
 namespace
 {
 
-using dist::ByteChannel;
 using dist::Frame;
 using dist::FramedLink;
 using dist::LinkRole;
 using dist::MsgType;
-using dist::PipeChannel;
-using dist::SocketChannel;
 
-/** A connected FramedLink pair over a real socketpair. The `receiver`
- *  end is non-blocking (poll-driven, like the coordinator's). */
+/** A connected FramedLink pair over two real pipes — the shape of a
+ *  worker's stdin/stdout. The `receiver` end reads non-blocking
+ *  (poll-driven, like the coordinator's); the sender reads blocking,
+ *  like a worker. */
 struct LinkPair
 {
     std::unique_ptr<FramedLink> sender;
     std::unique_ptr<FramedLink> receiver;
-    int raw_fd = -1;  ///< Raw handle on the sender side (byte surgery).
+    int raw_fd = -1;  ///< The sender's write end (byte surgery).
 };
 
 LinkPair
 makePair()
 {
-    int fds[2];
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    const int flags = ::fcntl(fds[1], F_GETFL, 0);
-    EXPECT_EQ(::fcntl(fds[1], F_SETFL, flags | O_NONBLOCK), 0);
+    int down[2];  // sender -> receiver
+    int up[2];    // receiver -> sender
+    EXPECT_EQ(::pipe(down), 0);
+    EXPECT_EQ(::pipe(up), 0);
+    const int flags = ::fcntl(down[0], F_GETFL, 0);
+    EXPECT_EQ(::fcntl(down[0], F_SETFL, flags | O_NONBLOCK), 0);
     LinkPair pair;
-    pair.raw_fd = fds[0];
-    pair.sender = std::make_unique<FramedLink>(
-        std::make_unique<SocketChannel>(fds[0]));
-    pair.receiver = std::make_unique<FramedLink>(
-        std::make_unique<SocketChannel>(fds[1]));
+    pair.raw_fd = down[1];
+    pair.sender = std::make_unique<FramedLink>(up[0], down[1]);
+    pair.receiver = std::make_unique<FramedLink>(down[0], up[1]);
     return pair;
 }
 
@@ -101,7 +99,7 @@ TEST(Transport, Crc32MatchesTheIeeeCheckValue)
     EXPECT_NE(dist::crc32("a"), dist::crc32("b"));
 }
 
-TEST(Transport, FramesRoundTripOverASocketpair)
+TEST(Transport, FramesRoundTripOverAPipePair)
 {
     LinkPair pair = makePair();
     ASSERT_TRUE(pair.sender->send(MsgType::Hello, "hello 1 42 7\n"));
@@ -118,24 +116,11 @@ TEST(Transport, FramesRoundTripOverASocketpair)
     EXPECT_EQ(frames[2].payload, "");
     EXPECT_EQ(pair.receiver->stats().frames_received, 3u);
     EXPECT_EQ(pair.receiver->stats().corrupt_frames_dropped, 0u);
-}
 
-TEST(Transport, FramesRoundTripOverAPipePair)
-{
-    // The stdio transport's channel shape: distinct read/write fds.
-    int to[2], from[2];
-    ASSERT_EQ(::pipe(to), 0);
-    ASSERT_EQ(::pipe(from), 0);
-    FramedLink a(std::make_unique<PipeChannel>(from[0], to[1]));
-    FramedLink b(std::make_unique<PipeChannel>(to[0], from[1]));
-
-    ASSERT_TRUE(a.send(MsgType::Job, "down"));
-    ASSERT_TRUE(b.send(MsgType::Result, "up"));
+    // And back up the other pipe, read blocking like a worker.
+    ASSERT_TRUE(pair.receiver->send(MsgType::Result, "up"));
     Frame frame;
-    ASSERT_TRUE(b.readBlocking(frame));
-    EXPECT_EQ(frame.type, MsgType::Job);
-    EXPECT_EQ(frame.payload, "down");
-    ASSERT_TRUE(a.readBlocking(frame));
+    ASSERT_TRUE(pair.sender->readBlocking(frame));
     EXPECT_EQ(frame.type, MsgType::Result);
     EXPECT_EQ(frame.payload, "up");
 }
