@@ -5,7 +5,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <map>
@@ -15,11 +14,11 @@
 #include <vector>
 
 #include "common/env.hpp"
-#include "dist/manifest.hpp"
 #include "dist/protocol.hpp"
 #include "dist/supervisor.hpp"
 #include "sim/journal.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace bingo
 {
@@ -31,22 +30,11 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-double
-envSeconds(const char *name, double fallback)
-{
-    const char *value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return fallback;
-    char *end = nullptr;
-    const double parsed = std::strtod(value, &end);
-    return (end == value || parsed < 0.0) ? fallback : parsed;
-}
-
 /**
  * Ignore SIGPIPE for the coordinator's lifetime in this function
  * (restoring the previous disposition on exit): a worker that dies
  * while the coordinator writes to it must surface as a structured
- * broken-pipe transport error from the PipeChannel, never kill the
+ * broken-pipe transport error from the FramedLink, never kill the
  * coordinator — the coordinator outliving its workers is the whole
  * point of supervision. (Plain pipes have no MSG_NOSIGNAL.)
  */
@@ -84,7 +72,9 @@ struct Item
     State state = State::Pending;
     Clock::time_point not_before{};  ///< Re-dispatch backoff gate.
     unsigned kills = 0;       ///< Consecutive workers this item killed.
-    unsigned requeues = 0;    ///< Lease revocations (backoff ladder).
+    /// Requeues that were not the job's doing — lease revocations and
+    /// links that failed under a live worker (backoff ladder).
+    unsigned requeues = 0;
     /// At-most-once-commit guard: bumped at every dispatch, echoed by
     /// the worker, checked on receipt. A stalled worker that resurfaces
     /// after its job was re-dispatched holds an old lease and its
@@ -110,6 +100,17 @@ struct Slot
 
 constexpr std::size_t kNoItem = static_cast<std::size_t>(-1);
 
+/** Why the coordinator gives up on a worker. */
+enum class Loss
+{
+    LinkEnded,  ///< EOF, broken pipe, bad header: crash or link failure.
+    Hung,       ///< Heartbeat timeout or job deadline.
+};
+
+/** How long a worker whose link is gone may take to exit by itself:
+ *  one heartbeat period (its heartbeat thread joins) plus margin. */
+constexpr std::chrono::milliseconds kExitGrace{500};
+
 /** transport_health.json body for `report`. */
 std::string
 transportHealthJson(const DistReport &report)
@@ -122,11 +123,6 @@ transportHealthJson(const DistReport &report)
         << "  \"redispatched\": " << report.redispatched << ",\n"
         << "  \"poisoned\": " << report.poisoned << ",\n"
         << "  \"fallback_jobs\": " << report.fallback_jobs << ",\n"
-        << "  \"corrupt_frames_dropped\": "
-        << report.corrupt_frames_dropped << ",\n"
-        << "  \"duplicate_frames_suppressed\": "
-        << report.duplicate_frames_suppressed << ",\n"
-        << "  \"frame_gaps\": " << report.frame_gaps << ",\n"
         << "  \"injected_faults\": " << report.injected_faults << ",\n"
         << "  \"leases_revoked\": " << report.leases_revoked << ",\n"
         << "  \"stale_results_dropped\": "
@@ -165,13 +161,6 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
     num_workers = std::max(1u, num_workers);
 
     const std::string journal_dir = sweepJournalDir();
-    // Make the sweep coordinator-crash-resumable before dispatching
-    // anything. runSweepOutcomes already wrote this manifest for
-    // journaled sweeps; rewriting it is byte-idempotent (it is a pure
-    // function of the job list), and direct callers of this function
-    // get the same guarantee.
-    if (!journal_dir.empty())
-        manifestStore(journal_dir, jobs);
     // Slots cycle over the host templates; with no hosts every slot
     // execs the local worker binary.
     const auto hostFor = [&](unsigned slot) -> const std::string * {
@@ -274,19 +263,12 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                              : jobs[item.job_index];
     };
 
-    // Fold a link's robustness counters into the sweep report. Called
-    // exactly once per link instance: right before every killWorker
-    // (which resets the link) — absorb() on a link-less slot is a
-    // no-op, so the belt-and-braces final pass cannot double-count.
-    const auto absorbLinkStats = [&](Slot &slot) {
-        if (!slot.proc.link)
-            return;
-        const LinkStats &ls = slot.proc.link->stats();
-        stats.corrupt_frames_dropped += ls.corrupt_frames_dropped;
-        stats.duplicate_frames_suppressed +=
-            ls.duplicate_frames_suppressed;
-        stats.frame_gaps += ls.frame_gaps;
-        stats.injected_faults += ls.injected_faults;
+    // Fold a link's fault count into the sweep report. Called exactly
+    // once per link instance: right before every stopWorker (which
+    // resets the link); on a link-less slot it is a no-op.
+    const auto absorbLinkFaults = [&](Slot &slot) {
+        if (slot.proc.link)
+            stats.injected_faults += slot.proc.link->injectedFaults();
     };
 
     const auto finalizePoison = [&](Item &item, const char *reason) {
@@ -301,18 +283,28 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                      jobOf(item).workload.c_str(), item.kills, reason);
     };
 
-    const auto workerDied = [&](Slot &slot, const char *reason) {
+    // Only a crash or a hang is the in-flight job's doing and counts
+    // toward its quarantine. A link that failed while its worker lived
+    // (a severed pipe, or a clean exit after a failed send) costs the
+    // job a retry, never a poison strike.
+    const auto workerDied = [&](Slot &slot, const char *reason,
+                                Loss loss) {
         if (!slot.proc.alive() && !slot.proc.link)
             return;
         const unsigned s = slot.proc.slot;
-        absorbLinkStats(slot);
-        killWorker(slot.proc);
+        absorbLinkFaults(slot);
+        const bool hung = loss == Loss::Hung;
+        const bool crashed =
+            stopWorker(slot.proc,
+                       hung ? std::chrono::milliseconds{} : kExitGrace) ||
+            hung;
         ++stats.workers_lost;
         if (slot.proc.in_flight != WorkerProc::kIdle) {
             Item &item = items[slot.proc.in_flight];
             slot.proc.in_flight = WorkerProc::kIdle;
             if (item.state == Item::State::InFlight) {
-                ++item.kills;
+                if (crashed)
+                    ++item.kills;
                 if (item.kills >= poison_kills) {
                     finalizePoison(item, reason);
                 } else {
@@ -320,7 +312,8 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                     item.not_before =
                         Clock::now() +
                         std::chrono::milliseconds(retryBackoffMs(
-                            item.wire_index, item.kills));
+                            item.wire_index,
+                            crashed ? item.kills : ++item.requeues));
                     ++stats.redispatched;
                     std::fprintf(
                         stderr,
@@ -362,23 +355,19 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
     const auto handleFrame = [&](Slot &slot, const Frame &frame) {
         slot.proc.last_heard = Clock::now();
         switch (frame.type) {
-        case MsgType::Hello: {
-            WireHello hello;
-            if (decodeHello(frame.payload, hello))
-                slot.proc.said_hello = true;
+        case MsgType::Hello:
+            slot.proc.said_hello = frame.payload == kHelloPayload;
             break;
-        }
         case MsgType::Heartbeat: {
             WireHeartbeat beat;
             if (!decodeHeartbeat(frame.payload, beat))
                 break;
             slot.proc.busy_hint = beat.busy;
             // Reconciliation: the worker says idle but the coordinator
-            // believes it busy. Either the Job frame was lost in
-            // transit (corrupted, truncated, stalled past the grace)
-            // or the Result frame was — both look identical from here.
-            // Revoke the lease and requeue; if the worker later
-            // resurfaces with the old lease, its result is stale.
+            // believes it busy — the Job frame is stalled in a slow hop
+            // past the grace. Revoke the lease and requeue; if the
+            // worker later resurfaces with the old lease, its result
+            // is stale.
             if (!beat.busy &&
                 slot.proc.in_flight != WorkerProc::kIdle) {
                 const double waited =
@@ -428,9 +417,9 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                 // frames, and its *current* lease (possibly on this
                 // very item) is still outstanding. Freeing it would
                 // orphan that dispatch — an item stuck InFlight with
-                // no slot owning it — if the live result frame is then
-                // lost. The slot frees on the accepted result, or via
-                // idle-heartbeat revocation.
+                // no slot owning it — if the worker then dies before
+                // the live result arrives. The slot frees on the
+                // accepted result, or via idle-heartbeat revocation.
                 ++stats.stale_results_dropped;
                 std::fprintf(
                     stderr,
@@ -468,7 +457,6 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
             commit(item);
             break;
         }
-        case MsgType::Bye:
         default:
             break;
         }
@@ -481,7 +469,6 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
         for (Slot &slot : slots) {
             if (!slot.proc.alive() || !slot.proc.link)
                 continue;
-            slot.proc.link->flushStalled();
             std::vector<Frame> frames;
             const bool still_open = slot.proc.link->poll(frames);
             progress |= !frames.empty();
@@ -494,7 +481,7 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                     slot.proc.link->error().empty()
                         ? "process exited"
                         : slot.proc.link->error();
-                workerDied(slot, why.c_str());
+                workerDied(slot, why.c_str(), Loss::LinkEnded);
             }
         }
 
@@ -507,7 +494,7 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                                               slot.proc.last_heard)
                     .count();
             if (silent > heartbeat_timeout) {
-                workerDied(slot, "heartbeat timeout");
+                workerDied(slot, "heartbeat timeout", Loss::Hung);
                 continue;
             }
             if (job_deadline > 0.0 && !slot.proc.idle()) {
@@ -516,7 +503,8 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                                                   slot.proc.job_start)
                         .count();
                 if (running > job_deadline)
-                    workerDied(slot, "job deadline exceeded");
+                    workerDied(slot, "job deadline exceeded",
+                               Loss::Hung);
             }
         }
 
@@ -586,10 +574,9 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
             wire.lease = ++next->lease;
             wire.fingerprint = next->fingerprint;
             wire.job = jobOf(*next);
-            wire.baseline = next->baseline;
             if (!slot.proc.link ||
                 !slot.proc.link->send(MsgType::Job, encodeJob(wire))) {
-                workerDied(slot, "send failed");
+                workerDied(slot, "send failed", Loss::LinkEnded);
                 continue;
             }
             next->state = Item::State::InFlight;
@@ -629,7 +616,6 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                 item.result.attempts = outcome.attempts;
                 item.result.wall_seconds = outcome.wall_seconds;
                 item.result.error = outcome.error;
-                item.result.fingerprint = item.fingerprint;
                 if (outcome.ok()) {
                     item.have_run = true;
                     commit(item);
@@ -644,36 +630,16 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                 std::chrono::milliseconds(20));
     }
 
-    // --- Drain: ask every surviving worker to exit, give the fleet a
-    // grace period to say Bye/EOF, then SIGKILL stragglers.
+    // --- Drain: EOF is a worker's order to exit. Close every link
+    // first so the fleet exits in parallel, then reap it, SIGKILLing
+    // stragglers.
     for (Slot &slot : slots) {
-        if (slot.proc.alive() && slot.proc.link)
-            slot.proc.link->send(MsgType::Shutdown, "");
+        absorbLinkFaults(slot);
+        if (slot.proc.link)
+            slot.proc.link->close();
     }
-    const auto grace_end =
-        Clock::now() + std::chrono::milliseconds(3000);
-    for (;;) {
-        bool any_alive = false;
-        for (Slot &slot : slots) {
-            if (!slot.proc.alive() || !slot.proc.link)
-                continue;
-            slot.proc.link->flushStalled();
-            std::vector<Frame> frames;
-            if (!slot.proc.link->poll(frames)) {
-                absorbLinkStats(slot);
-                killWorker(slot.proc);
-            } else {
-                any_alive = true;
-            }
-        }
-        if (!any_alive || Clock::now() >= grace_end)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    for (Slot &slot : slots) {
-        absorbLinkStats(slot);
-        killWorker(slot.proc);
-    }
+    for (Slot &slot : slots)
+        stopWorker(slot.proc, kExitGrace);
 
     addExternalRunStats(total_runs, total_cycles);
 
@@ -738,17 +704,13 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
             static_cast<unsigned long long>(stats.fallback_jobs));
     }
 
-    // Transport health goes next to the telemetry exports (or the
-    // working directory) — never into the journal, whose contents must
-    // stay a pure function of the job list so the byte-identity oracle
-    // holds with and without transport chaos.
-    {
-        const char *dir = std::getenv("BINGO_TELEMETRY_DIR");
+    // Transport health goes next to the telemetry exports, and only
+    // where they go — never into the journal, whose contents must stay
+    // a pure function of the job list so the byte-identity oracle holds
+    // with and without transport chaos.
+    if (const std::string dir = telemetry::outputDir(); !dir.empty()) {
         const std::filesystem::path health_path =
-            std::filesystem::path(dir != nullptr && *dir != '\0'
-                                      ? dir
-                                      : ".") /
-            "transport_health.json";
+            std::filesystem::path(dir) / "transport_health.json";
         try {
             telemetry::atomicWrite(health_path,
                                    transportHealthJson(stats));

@@ -14,9 +14,8 @@
  *    directly, and with BINGO_DIST_HOSTS slots cycle over its command
  *    templates (typically ssh), run through `/bin/sh -c`;
  *  - streams jobs over the FramedLink protocol (dist/transport.hpp:
- *    CRC-checked, sequence-numbered frames with resynchronization,
- *    duplicate suppression, and the `transport` chaos site's
- *    deterministic fault injection) and supervises with heartbeats
+ *    typed, length-prefixed frames, and the `transport` chaos site's
+ *    deterministic stalls and severs) and supervises with heartbeats
  *    (BINGO_DIST_HEARTBEAT_S, default 5 s of silence = dead) and a
  *    hard per-job deadline (BINGO_DIST_JOB_TIMEOUT_S = SIGKILL
  *    backstop; the inherited BINGO_JOB_TIMEOUT_S in-worker watchdog
@@ -26,7 +25,7 @@
  *    result, and a result whose lease is not the item's current one is
  *    dropped as stale. This makes job commits at-most-once even when a
  *    stalled worker resurfaces after its job was re-dispatched;
- *  - detects *lost* Job/Result frames (not just dead workers) by
+ *  - detects *delayed* Job frames (not just dead workers) by
  *    reconciling heartbeats: a worker that reports idle while the
  *    coordinator believes it busy for longer than
  *    BINGO_DIST_REDISPATCH_S (default 2 s) has its lease revoked and
@@ -37,8 +36,8 @@
  *    fault stream so a deterministic first-frame fault cannot repeat
  *    forever);
  *  - quarantines a job that kills BINGO_DIST_POISON_KILLS consecutive
- *    workers (default 2) as a poison job: reported Failed with a
- *    poison error, the sweep continues — degraded, not dead;
+ *    workers (default 2; by a crash or hang, not a link lost under a
+ *    live worker) as a poison job: reported Failed, the sweep goes on;
  *  - is the sweep's only journal writer: it decodes each accepted
  *    result's record once and commits it with journalStore on
  *    receipt — baselines included — exactly as the in-process runner
@@ -46,7 +45,8 @@
  *    the same jobs (journalEncode is the only record serializer, it
  *    round-trips through journalDecode, and simulations are
  *    deterministic). A coordinator kill -9 loses at most the one
- *    in-flight job per worker, which re-simulates on manifest resume;
+ *    in-flight job per worker, which re-simulates when the original
+ *    driver is rerun on the same BINGO_JOURNAL_DIR;
  *  - drains gracefully on SIGINT/SIGTERM (and ignores SIGPIPE for the
  *    duration, so a worker dying mid-write surfaces as a structured
  *    transport error): no new dispatches, in-flight jobs finish and
@@ -55,12 +55,11 @@
  *  - falls back to in-process execution of whatever remains if every
  *    worker slot is exhausted — a sweep never dies just because its
  *    workers did; and
- *  - writes the transport-health counters (reconnects, corrupt frames
- *    dropped, duplicates suppressed, sequence gaps, leases revoked,
- *    stale results dropped) to `transport_health.json` in
- *    BINGO_TELEMETRY_DIR (or the working directory) — never into the
- *    journal, whose contents must stay a pure function of the job
- *    list.
+ *  - writes the transport-health counters (reconnects, injected
+ *    faults, leases revoked, stale results dropped) to
+ *    `transport_health.json` in BINGO_TELEMETRY_DIR when that is set —
+ *    never into the journal, whose contents must stay a pure function
+ *    of the job list.
  */
 
 #ifndef BINGO_DIST_COORDINATOR_HPP
@@ -77,9 +76,8 @@ namespace bingo
 namespace dist
 {
 
-/** What supervision — and the transport robustness layer underneath
- *  it — had to do during a distributed sweep (for tests, the
- *  end-of-sweep summary line, and transport_health.json). */
+/** What supervision had to do during a distributed sweep (for tests,
+ *  the end-of-sweep summary line, and transport_health.json). */
 struct DistReport
 {
     unsigned workers_spawned = 0;   ///< fork/execs, including respawns.
@@ -91,13 +89,10 @@ struct DistReport
     std::size_t fallback_jobs = 0;  ///< Jobs run in-process after all
                                     ///< worker slots were exhausted.
 
-    // Transport health (satellite counters; aggregated from every
-    // worker link's LinkStats plus the coordinator's own bookkeeping).
+    // Transport health (aggregated from every worker link plus the
+    // coordinator's own bookkeeping).
     std::uint64_t reconnects = 0;   ///< Respawns of a previously-live
                                     ///< slot (link re-established).
-    std::uint64_t corrupt_frames_dropped = 0;  ///< CRC/parse resyncs.
-    std::uint64_t duplicate_frames_suppressed = 0;
-    std::uint64_t frame_gaps = 0;   ///< Sequence holes (lost frames).
     std::uint64_t injected_faults = 0;  ///< Chaos draws that fired.
     std::uint64_t leases_revoked = 0;   ///< Idle-heartbeat revocations.
     std::uint64_t stale_results_dropped = 0;  ///< Results with an

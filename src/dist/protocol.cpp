@@ -61,7 +61,7 @@ encodeJob(const WireJob &wire)
     const SystemConfig &cfg = wire.job.config;
     const PrefetcherConfig &pf = cfg.prefetcher;
     std::ostringstream out;
-    out << "job 2\n";
+    out << "job 3\n";
     out << "index " << wire.index << '\n';
     out << "lease " << wire.lease << '\n';
     out << "fingerprint " << wire.fingerprint << '\n';
@@ -72,7 +72,6 @@ encodeJob(const WireJob &wire)
         << wire.job.options.measure_instructions << ' '
         << wire.job.options.seed << ' '
         << (wire.job.compare_baseline ? 1 : 0) << '\n';
-    out << "baseline " << (wire.baseline ? 1 : 0) << '\n';
     out << "system " << cfg.num_cores << ' '
         << doubleBits(cfg.frequency_ghz) << ' ' << cfg.seed << '\n';
     out << "core " << cfg.core.width << ' ' << cfg.core.rob_entries
@@ -129,7 +128,7 @@ decodeJob(const std::string &payload, WireJob &out)
 {
     std::istringstream in(payload);
     unsigned version = 0;
-    if (!expect(in, "job") || !(in >> version) || version != 2)
+    if (!expect(in, "job") || !(in >> version) || version != 3)
         return false;
 
     WireJob wire;
@@ -150,10 +149,6 @@ decodeJob(const std::string &payload, WireJob &out)
           wire.job.options.seed >> compare_baseline))
         return false;
     wire.job.compare_baseline = compare_baseline != 0;
-    unsigned baseline = 0;
-    if (!expect(in, "baseline") || !(in >> baseline))
-        return false;
-    wire.baseline = baseline != 0;
 
     std::uint64_t frequency_bits = 0;
     if (!expect(in, "system") ||
@@ -243,7 +238,7 @@ std::string
 encodeResult(const WireResult &result)
 {
     std::ostringstream out;
-    out << "result 2\n";
+    out << "result 3\n";
     out << "index " << result.index << '\n';
     out << "lease " << result.lease << '\n';
     out << "status " << static_cast<unsigned>(result.status) << '\n';
@@ -251,7 +246,6 @@ encodeResult(const WireResult &result)
     out << "wall " << doubleBits(result.wall_seconds) << '\n';
     out << "runs " << result.runs << '\n';
     out << "cycles " << result.cycles << '\n';
-    out << "fingerprint " << result.fingerprint << '\n';
     out << "error ";
     putString(out, result.error);
     out << '\n';
@@ -267,7 +261,7 @@ decodeResult(const std::string &payload, WireResult &out)
 {
     std::istringstream in(payload);
     unsigned version = 0;
-    if (!expect(in, "result") || !(in >> version) || version != 2)
+    if (!expect(in, "result") || !(in >> version) || version != 3)
         return false;
     WireResult wire;
     unsigned status = 0;
@@ -289,8 +283,6 @@ decodeResult(const std::string &payload, WireResult &out)
         return false;
     if (!expect(in, "cycles") || !(in >> wire.cycles))
         return false;
-    if (!expect(in, "fingerprint") || !(in >> wire.fingerprint))
-        return false;
     if (!expect(in, "error") || !getString(in, wire.error))
         return false;
     if (!expect(in, "record") || !getString(in, wire.record))
@@ -302,32 +294,10 @@ decodeResult(const std::string &payload, WireResult &out)
 }
 
 std::string
-encodeHello(const WireHello &hello)
-{
-    std::ostringstream out;
-    out << "hello 1 " << hello.pid << ' ' << hello.slot << '\n';
-    return out.str();
-}
-
-bool
-decodeHello(const std::string &payload, WireHello &out)
-{
-    std::istringstream in(payload);
-    unsigned version = 0;
-    WireHello hello;
-    if (!expect(in, "hello") || !(in >> version) || version != 1 ||
-        !(in >> hello.pid >> hello.slot))
-        return false;
-    out = hello;
-    return true;
-}
-
-std::string
 encodeHeartbeat(const WireHeartbeat &beat)
 {
     std::ostringstream out;
-    out << "hb 1 " << (beat.busy ? 1 : 0) << ' ' << beat.index << ' '
-        << beat.lease << '\n';
+    out << "hb 2 " << (beat.busy ? 1 : 0) << '\n';
     return out.str();
 }
 
@@ -338,8 +308,8 @@ decodeHeartbeat(const std::string &payload, WireHeartbeat &out)
     unsigned version = 0;
     unsigned busy = 0;
     WireHeartbeat beat;
-    if (!expect(in, "hb") || !(in >> version) || version != 1 ||
-        !(in >> busy >> beat.index >> beat.lease))
+    if (!expect(in, "hb") || !(in >> version) || version != 2 ||
+        !(in >> busy))
         return false;
     beat.busy = busy != 0;
     out = beat;

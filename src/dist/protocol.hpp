@@ -3,26 +3,26 @@
  * Wire protocol between the sweep coordinator and its bingo_worker
  * processes (src/dist/coordinator.hpp, src/dist/worker.hpp).
  *
- * Framing — CRC-checked, sequence-numbered `BJF2` frames over the
- * worker's stdin/stdout pipes — lives in dist/transport.hpp. This
- * file is the message layer: frame types plus the payload codecs.
- * Payloads are the same pipe-separated, length-prefixed-string,
- * doubles-as-IEEE-bits text the journal uses, so every value
- * round-trips bit-exactly.
+ * Framing — typed, length-prefixed `BJF3` frames over the worker's
+ * stdin/stdout pipes — lives in dist/transport.hpp. This file is the
+ * message layer: frame types plus the payload codecs. Payloads are the
+ * same pipe-separated, length-prefixed-string, doubles-as-IEEE-bits
+ * text the journal uses, so every value round-trips bit-exactly. Each
+ * codec carries a version; a field removed from a message bumps it.
  *
  * Messages:
  *  - coordinator → worker: `job` (a fully serialized SweepJob plus the
- *    coordinator's job index, fingerprint and lease token), `shutdown`
- *    (drain and exit).
- *  - worker → coordinator: `hello` (pid/slot/version handshake),
+ *    coordinator's job index, fingerprint and lease token). Closing
+ *    the link (EOF) tells a worker to exit.
+ *  - worker → coordinator: `hello` (version handshake),
  *    `heartbeat` (liveness plus busy/idle state, every few hundred ms
  *    from a dedicated thread even while a simulation runs — the
  *    coordinator reconciles this state against its dispatch records to
- *    recover jobs whose frames the transport lost), `result` (the
- *    JobOutcome summary, the lease it was computed under, and for
- *    completed jobs the exact journal record bytes — journalEncode
- *    output — so the coordinator needs no second serializer), `bye`
- *    (graceful exit notice).
+ *    recover a job whose Job frame sat in a slow hop past the grace
+ *    period), `result` (the JobOutcome summary, the lease it was
+ *    computed under, and for completed jobs the exact journal record
+ *    bytes — journalEncode output — so the coordinator needs no second
+ *    serializer).
  *
  * Leases: every dispatch of a work item carries a fresh lease token
  * (a per-item epoch counter). A result is committed only if its lease
@@ -60,8 +60,6 @@ enum class MsgType : unsigned
     Heartbeat,
     Job,
     Result,
-    Shutdown,
-    Bye,
 };
 
 /** One parsed frame. */
@@ -78,11 +76,6 @@ struct WireJob
     std::uint64_t lease = 0;       ///< Dispatch epoch; echoed in result.
     std::string fingerprint;       ///< jobFingerprint(job), precomputed.
     SweepJob job;
-    /// Baseline warm, not a sweep job. Neither end branches on it (the
-    /// coordinator tracks baselines itself); it stays on the wire
-    /// because the sweep manifest reuses this codec, and the
-    /// manifest's bytes are part of the journal oracle.
-    bool baseline = false;
 };
 
 /** `result` payload: everything the coordinator needs back. */
@@ -95,7 +88,6 @@ struct WireResult
     double wall_seconds = 0.0;
     std::uint64_t runs = 0;        ///< Simulations completed (counters).
     std::uint64_t cycles = 0;      ///< Simulated cycles (counters).
-    std::string fingerprint;
     std::string error;             ///< Failure/degradation reason.
     std::string record;            ///< journalEncode bytes; empty when
                                    ///< the job failed.
@@ -107,27 +99,19 @@ bool decodeJob(const std::string &payload, WireJob &out);
 std::string encodeResult(const WireResult &result);
 bool decodeResult(const std::string &payload, WireResult &out);
 
-/** `hello` payload. */
-struct WireHello
-{
-    std::uint64_t pid = 0;
-    unsigned slot = 0;
-};
-
-std::string encodeHello(const WireHello &hello);
-bool decodeHello(const std::string &payload, WireHello &out);
+/** `hello` payload: a worker's first frame. The coordinator
+ *  dispatches to a worker only after it said exactly this. */
+constexpr std::string_view kHelloPayload = "hello 2\n";
 
 /**
- * `heartbeat` payload: liveness plus what the worker believes it is
- * doing. The busy/idle state lets the coordinator detect a job whose
- * Job or Result frame the transport lost (worker idle long after a
- * dispatch) and revoke the lease instead of waiting forever.
+ * `heartbeat` payload: liveness plus whether the worker is running a
+ * job. A worker still idle long after a dispatch holds a Job frame
+ * that a slow hop delayed; the coordinator revokes that lease and
+ * re-dispatches instead of waiting forever.
  */
 struct WireHeartbeat
 {
     bool busy = false;
-    std::uint64_t index = 0;  ///< In-flight job index (busy only).
-    std::uint64_t lease = 0;  ///< Its lease token (busy only).
 };
 
 std::string encodeHeartbeat(const WireHeartbeat &beat);

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -143,11 +145,13 @@ spawnWorker(const std::string &binary, const std::string *host,
     const char *const *argv =
         host == nullptr ? direct_argv : shell_argv;
 
+    // Close-on-exec, so no later worker inherits these ends: a
+    // sibling's copy of the write end would keep this stdin from EOF.
     int to_worker[2];   // Coordinator writes → worker stdin.
     int from_worker[2]; // Worker stdout → coordinator reads.
-    if (::pipe(to_worker) != 0)
+    if (::pipe2(to_worker, O_CLOEXEC) != 0)
         return false;
-    if (::pipe(from_worker) != 0) {
+    if (::pipe2(from_worker, O_CLOEXEC) != 0) {
         ::close(to_worker[0]);
         ::close(to_worker[1]);
         return false;
@@ -186,20 +190,28 @@ spawnWorker(const std::string &binary, const std::string *host,
     return true;
 }
 
-void
-killWorker(WorkerProc &worker)
+bool
+stopWorker(WorkerProc &worker, std::chrono::milliseconds grace)
 {
-    if (worker.link) {
-        worker.link->close();
-        worker.link.reset();
-    }
-    if (worker.pid > 0) {
-        ::kill(worker.pid, SIGKILL);
-        int status = 0;
-        while (::waitpid(worker.pid, &status, 0) < 0 && errno == EINTR) {
+    worker.link.reset();
+    if (worker.pid <= 0)
+        return false;
+    const pid_t pid = std::exchange(worker.pid, -1);
+    // A crashed worker's pipes close a moment before it becomes
+    // reapable, so poll for the exit instead of sampling it once.
+    const auto give_up = std::chrono::steady_clock::now() + grace;
+    int status = 0;
+    pid_t reaped = 0;
+    while ((reaped = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (reaped != pid) {
+        ::kill(pid, SIGKILL);
+        while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
         }
-        worker.pid = -1;
+        return false;
     }
+    return WIFSIGNALED(status) || WEXITSTATUS(status) != 0;
 }
 
 } // namespace dist

@@ -59,8 +59,8 @@ struct WorkerProc
     bool said_hello = false;
     /// Worker's last self-reported state (heartbeat), plus an
     /// optimistic set on dispatch. A worker that claims idle while the
-    /// coordinator believes it busy is how lost Job/Result frames are
-    /// detected (lease revocation).
+    /// coordinator believes it busy is how a Job frame delayed past
+    /// the grace is detected (lease revocation).
     bool busy_hint = false;
     std::unique_ptr<FramedLink> link;
 
@@ -93,14 +93,17 @@ bool spawnWorker(const std::string &binary, const std::string *host,
                  unsigned slot, WorkerProc &out);
 
 /**
- * SIGKILL + reap `worker` (blocking waitpid) and close its link. Safe
- * on an already-dead worker. Leaves pid at -1. This is the single
- * teardown path; worker death is *detected* by the coordinator through
- * link EOF (which flushes any buffered final frames first) or a
- * heartbeat/deadline expiry, never by closing the link early — a dead
+ * Tear `worker` down — the single teardown path — and say whether its
+ * process crashed. Drops the link first (EOF is a worker's order to
+ * exit, and it exits 0), gives the process up to `grace` to exit by
+ * itself, then SIGKILLs and reaps it; leaves pid at -1, safe on a dead
+ * worker. True when it died by a signal or exited nonzero before the
+ * SIGKILL. Worker death is *detected* by the coordinator through link
+ * EOF (which flushes any buffered final frames first) or a
+ * heartbeat/deadline expiry, never by dropping the link early — a dead
  * worker's pipe may still hold its last `result`.
  */
-void killWorker(WorkerProc &worker);
+bool stopWorker(WorkerProc &worker, std::chrono::milliseconds grace);
 
 } // namespace dist
 } // namespace bingo

@@ -112,11 +112,12 @@ workerMain(int read_fd, int write_fd, unsigned slot,
     // A foreground Ctrl-C signals the whole process group, workers
     // included. The coordinator owns drain policy — workers ignore
     // terminal signals so in-flight jobs finish and report, and exit
-    // via Shutdown frame or link EOF (the coordinator SIGKILLs
-    // stragglers). A worker can never outlive its coordinator: EOF on
-    // the transport is unfakeable. SIGPIPE is ignored so a coordinator
-    // death during a frame write surfaces as a structured broken-pipe
-    // transport error, not sudden worker death.
+    // on link EOF (the coordinator closes the link to drain, and
+    // SIGKILLs stragglers). A worker can never outlive its
+    // coordinator: EOF on the transport is unfakeable. SIGPIPE is
+    // ignored so a coordinator death during a frame write surfaces as
+    // a structured broken-pipe transport error, not sudden worker
+    // death.
     std::signal(SIGINT, SIG_IGN);
     std::signal(SIGTERM, SIG_IGN);
     std::signal(SIGPIPE, SIG_IGN);
@@ -133,28 +134,23 @@ workerMain(int read_fd, int write_fd, unsigned slot,
         return link.send(type, payload);
     };
 
-    WireHello hello;
-    hello.pid = static_cast<std::uint64_t>(::getpid());
-    hello.slot = slot;
-    if (!send(MsgType::Hello, encodeHello(hello)))
+    if (!send(MsgType::Hello, std::string(kHelloPayload)))
         return 1;
 
     std::atomic<bool> stop{false};
     std::atomic<bool> mute{false};  // Hang knob: simulate a wedged
                                     // worker by silencing heartbeats.
     std::atomic<bool> busy{false};
-    std::atomic<std::uint64_t> busy_index{0};
-    std::atomic<std::uint64_t> busy_lease{0};
     std::thread heartbeat([&] {
         while (!stop.load(std::memory_order_relaxed)) {
             if (!mute.load(std::memory_order_relaxed)) {
                 WireHeartbeat beat;
                 beat.busy = busy.load(std::memory_order_relaxed);
-                beat.index =
-                    busy_index.load(std::memory_order_relaxed);
-                beat.lease =
-                    busy_lease.load(std::memory_order_relaxed);
-                send(MsgType::Heartbeat, encodeHeartbeat(beat));
+                // No result of this worker can land any more. Exit 0
+                // now: a launcher shell then exits too, and the
+                // coordinator sees EOF, not a heartbeat timeout.
+                if (!send(MsgType::Heartbeat, encodeHeartbeat(beat)))
+                    ::_exit(0);
             }
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(200));
@@ -165,11 +161,7 @@ workerMain(int read_fd, int write_fd, unsigned slot,
     Frame frame;
     for (;;) {
         if (!link.readBlocking(frame))
-            break;  // Coordinator gone — never simulate orphaned.
-        if (frame.type == MsgType::Shutdown) {
-            send(MsgType::Bye, "");
-            break;
-        }
+            break;  // Drained, or the coordinator is gone.
         if (frame.type != MsgType::Job)
             continue;
 
@@ -194,14 +186,11 @@ workerMain(int read_fd, int write_fd, unsigned slot,
                 std::chrono::milliseconds(stall_ms));
         }
 
-        busy_index.store(wire.index, std::memory_order_relaxed);
-        busy_lease.store(wire.lease, std::memory_order_relaxed);
         busy.store(true, std::memory_order_relaxed);
 
         WireResult result;
         result.index = wire.index;
         result.lease = wire.lease;
-        result.fingerprint = wire.fingerprint;
 
         // Drift guard: a config field missing from the wire format
         // yields a different fingerprint here than the coordinator

@@ -10,10 +10,13 @@
  *
  * Liveness: a dedicated heartbeat thread sends a frame every ~200 ms
  * even while a simulation runs — carrying the worker's busy/idle state
- * and the in-flight job's (index, lease) — so the coordinator can tell
- * "slow job" from "hung worker" from "job frame lost in transit".
+ * — so the coordinator can tell "slow job" from "hung worker" from
+ * "job frame stalled in transit".
  * EOF on the link means the coordinator died; the worker exits instead
- * of simulating orphaned.
+ * of simulating orphaned. A failed send means the coordinator can no
+ * longer hear it; the worker exits 0 then too, which the coordinator
+ * tells from a crash (a signal or a nonzero status) when it decides
+ * whether the in-flight job counts toward poison quarantine.
  *
  * Test knobs (used by the crash-tolerance tests and the CI smoke job
  * to produce real worker deaths, equivalent to an external kill -9):
@@ -23,9 +26,10 @@
  *    sleep forever when dispatched sweep job <index>.
  *  - BINGO_DIST_TEST_STALL_JOB=<index>:<ms>[:once] — sit on the job
  *    for <ms> milliseconds while heartbeating *idle* (modelling a Job
- *    frame stuck in a queue), then run it normally. The coordinator
- *    revokes the lease and re-dispatches; the stalled worker's late
- *    result must be dropped as stale — the lease-guard test.
+ *    frame delayed by a slow remote hop), then run it normally. The
+ *    coordinator revokes the lease and re-dispatches; the stalled
+ *    worker's late result must be dropped as stale — the lease-guard
+ *    test.
  * With `:once` the knob fires only in the first worker process to draw
  * the job (an O_EXCL marker file in BINGO_DIST_TEST_DIR makes
  * respawned workers and re-dispatches proceed normally), turning
@@ -48,8 +52,8 @@ namespace dist
  * frames from `read_fd` and writing them to `write_fd` (both owned
  * from here on). `fault_epoch` seeds this process's transport-chaos
  * stream so respawns do not replay their predecessor's faults. Returns
- * the process exit code: 0 after a clean Shutdown/EOF drain, nonzero
- * on protocol errors.
+ * the process exit code: 0 once the link closes or a send fails,
+ * nonzero on protocol errors.
  */
 int workerMain(int read_fd, int write_fd, unsigned slot,
                std::uint64_t fault_epoch);

@@ -1,28 +1,21 @@
 /**
  * @file
- * bingo_worker entry point. Two modes:
- *  - `--stdio` — a worker of the distributed sweep runner, exec'd by
- *    the coordinator for a BINGO_DIST_WORKERS slot or launched through
- *    a BINGO_DIST_HOSTS command template (typically ssh): the protocol
- *    runs over stdin/stdout, which are re-pointed so stray prints can
- *    never corrupt the frame stream;
- *  - `--sweep <manifest>` — run/resume a whole sweep described by a
- *    SweepManifest (dist/manifest.hpp), journaling next to it. This is
- *    the coordinator-crash recovery path: point it at the manifest of
- *    the dead coordinator's journal and the sweep finishes.
- * See worker.hpp for the protocol loop and EXPERIMENTS.md
- * ("Distributed sweeps" / "Multi-machine sweeps") for the
- * operator-facing picture.
+ * bingo_worker entry point: `--stdio` runs one worker of the
+ * distributed sweep runner, exec'd by the coordinator for a
+ * BINGO_DIST_WORKERS slot or launched through a BINGO_DIST_HOSTS
+ * command template (typically ssh). The protocol runs over
+ * stdin/stdout, which are re-pointed so stray prints can never corrupt
+ * the frame stream. See worker.hpp for the protocol loop and
+ * EXPERIMENTS.md ("Distributed sweeps" / "Multi-machine sweeps") for
+ * the operator-facing picture.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include <unistd.h>
 
-#include "dist/manifest.hpp"
 #include "dist/worker.hpp"
 
 namespace
@@ -34,13 +27,12 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s --stdio [--slot <n>] [--fault-epoch <e>]\n"
-        "       %s --sweep <manifest>\n"
         "Worker process of the distributed sweep runner; spawned by\n"
         "the coordinator (BINGO_DIST_WORKERS=N, or BINGO_DIST_HOSTS\n"
-        "command templates) with the protocol on stdin/stdout. The\n"
-        "--sweep form runs or resumes a manifest's sweep directly —\n"
-        "use it to recover a sweep whose coordinator died.\n",
-        argv0, argv0);
+        "command templates) with the protocol on stdin/stdout. To\n"
+        "finish a sweep whose coordinator died, rerun the original\n"
+        "driver on the same BINGO_JOURNAL_DIR.\n",
+        argv0);
     return 64;
 }
 
@@ -50,7 +42,6 @@ int
 main(int argc, char **argv)
 {
     bool stdio = false;
-    std::string manifest;
     long slot = 0;
     long fault_epoch = 1;
     for (int i = 1; i < argc; ++i) {
@@ -62,16 +53,11 @@ main(int argc, char **argv)
         } else if (i + 1 < argc &&
                    std::strcmp(argv[i], "--fault-epoch") == 0) {
             fault_epoch = std::atol(argv[++i]);
-        } else if (i + 1 < argc &&
-                   std::strcmp(argv[i], "--sweep") == 0) {
-            manifest = argv[++i];
         } else {
             return usage(argv[0]);
         }
     }
 
-    if (!manifest.empty())
-        return bingo::dist::runManifestSweep(manifest);
     if (!stdio || slot < 0)
         return usage(argv[0]);
 

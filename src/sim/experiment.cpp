@@ -20,7 +20,6 @@
 #include "common/env.hpp"
 #include "common/hash.hpp"
 #include "dist/coordinator.hpp"
-#include "dist/manifest.hpp"
 #include "dist/supervisor.hpp"
 #include "sim/journal.hpp"
 #include "sim/report.hpp"
@@ -172,6 +171,22 @@ maybeExportTelemetry(const SweepJob &job, System &system,
 }
 
 /**
+ * The watchdog deadline `timeout_s` seconds from now, saturated at the
+ * end of steady_clock's range: a timeout too long to represent (say
+ * 1e10 s) means "never", not an overflowed deadline in the past.
+ */
+std::chrono::steady_clock::time_point
+watchdogDeadline(double timeout_s)
+{
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double> wanted(timeout_s);
+    if (wanted >= Clock::time_point::max() - now)
+        return Clock::time_point::max();
+    return now + std::chrono::duration_cast<Clock::duration>(wanted);
+}
+
+/**
  * One job, attempted up to 1 + BINGO_RETRIES times. Never throws:
  * every failure is folded into the returned outcome. `collect` runs
  * on the finished System of a successful attempt only.
@@ -197,13 +212,8 @@ runJobWithRetries(const SweepJob &job, std::size_t index,
             System system(cfg, job.workload);
             if (telemetry::requested())
                 system.enableTelemetry(telemetry::optionsFromEnv());
-            if (timeout_s > 0.0) {
-                system.setDeadline(
-                    std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(timeout_s)));
-            }
+            if (timeout_s > 0.0)
+                system.setDeadline(watchdogDeadline(timeout_s));
             try {
                 system.run(job.options.warmup_instructions,
                            job.options.measure_instructions);
@@ -488,14 +498,7 @@ ScopedSweepSignals::~ScopedSweepSignals()
 double
 sweepJobTimeoutSeconds()
 {
-    const char *value = std::getenv("BINGO_JOB_TIMEOUT_S");
-    if (value == nullptr || *value == '\0')
-        return 0.0;
-    char *end = nullptr;
-    const double parsed = std::strtod(value, &end);
-    if (end == value || !(parsed > 0.0))
-        return 0.0;
-    return parsed;
+    return envSeconds("BINGO_JOB_TIMEOUT_S", 0.0);
 }
 
 std::string
@@ -718,16 +721,11 @@ runSweepOutcomes(const std::vector<SweepJob> &jobs,
         (sweepDistWorkers() > 0 || !dist::sweepDistHosts().empty()) &&
         num_threads == 0 && !fault_hook && !jobs.empty();
 
-    // A journaled sweep is coordinator-crash-resumable: describe it as
-    // data first, so `bingo_worker --sweep <journal>/manifest.sweep`
-    // (or simply rerunning the driver) can finish it if this process is
-    // kill -9'd mid-flight. The manifest is a pure function of the job
-    // list, so rewriting it on resume is byte-idempotent. A kill -9
-    // can also tear a record write; its temp file goes first.
-    if (!journal_dir.empty() && !jobs.empty()) {
+    // Rerunning the driver on the same journal resumes a sweep whose
+    // process was kill -9'd mid-flight. The kill can also tear a record
+    // write; its temp file goes first.
+    if (!journal_dir.empty() && !jobs.empty())
         journalDropTornWrites(journal_dir);
-        dist::manifestStore(journal_dir, jobs);
-    }
 
     // Resume pass: journaled jobs become Skipped outcomes up front and
     // never reach the pool.

@@ -127,8 +127,9 @@ unsigned sweepRetries();
 unsigned retryBackoffMs(std::size_t job_index, unsigned attempt);
 
 /**
- * Per-job watchdog deadline in seconds: BINGO_JOB_TIMEOUT_S
- * (default 0 = disabled). Covers warmup + measurement of one job.
+ * Per-job watchdog deadline in seconds: BINGO_JOB_TIMEOUT_S, a finite
+ * decimal ≥ 0 (default and 0 = disabled; anything else reads as the
+ * default). Covers warmup + measurement of one job.
  */
 double sweepJobTimeoutSeconds();
 

@@ -66,11 +66,11 @@ void journalStore(const std::string &dir, const std::string &fingerprint,
 
 /**
  * Delete the temp files of writes into `dir` that never finished.
- * journalStore and the sweep manifest write `<name>.tmp.<n>` and rename
- * it into place, so a writer kill -9'd in between leaves one behind;
- * the record it would have become was never committed, and its job
- * simply re-runs. Call when a sweep starts on `dir`, while no other
- * process writes it. Safe when `dir` does not exist.
+ * journalStore writes `<name>.tmp.<n>` and renames it into place, so a
+ * writer kill -9'd in between leaves one behind; the record it would
+ * have become was never committed, and its job simply re-runs. Call
+ * when a sweep starts on `dir`, while no other process writes it. Safe
+ * when `dir` does not exist.
  */
 void journalDropTornWrites(const std::string &dir);
 

@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <string>
 
 #include "common/env.hpp"
 #include "common/event_queue.hpp"
@@ -351,6 +352,52 @@ TEST(Env, U64AcceptsOnlyWholeUnsignedDecimals)
             << "value \"" << (c.value ? c.value : "(unset)") << "\"";
     }
     ::unsetenv(kName);
+}
+
+TEST(Env, SecondsAcceptsOnlyWholeFiniteNonNegativeDecimals)
+{
+    constexpr const char *kName = "BINGO_TEST_ENV_SECONDS";
+    constexpr double kFallback = 7.0;
+    struct Case
+    {
+        const char *value;  ///< nullptr = unset.
+        double expected;
+    };
+    const Case cases[] = {
+        {nullptr, kFallback}, {"", kFallback},     {"2", 2.0},
+        {"0.5", 0.5},         {"0", 0.0},          {"-1", kFallback},
+        {"5x", kFallback},    {" 5", kFallback},   {"inf", kFallback},
+        {"nan", kFallback},   {"1e400", kFallback},
+    };
+    for (const Case &c : cases) {
+        if (c.value == nullptr)
+            ::unsetenv(kName);
+        else
+            ::setenv(kName, c.value, 1);
+        EXPECT_EQ(envSeconds(kName, kFallback), c.expected)
+            << "value \"" << (c.value ? c.value : "(unset)") << "\"";
+    }
+    ::unsetenv(kName);
+}
+
+TEST(Env, RejectedValueIsNamedOnStderrOnce)
+{
+    // A typo such as 30s must not turn a watchdog off unnoticed.
+    ::setenv("BINGO_TEST_ENV_TYPO", "30s", 1);
+    ::setenv("BINGO_TEST_ENV_EMPTY", "", 1);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(envSeconds("BINGO_TEST_ENV_TYPO", 0.0), 0.0);
+    EXPECT_EQ(envSeconds("BINGO_TEST_ENV_TYPO", 0.0), 0.0);
+    EXPECT_EQ(envU64("BINGO_TEST_ENV_EMPTY", 3), 3u);
+    const std::string err = testing::internal::GetCapturedStderr();
+    ::unsetenv("BINGO_TEST_ENV_TYPO");
+    ::unsetenv("BINGO_TEST_ENV_EMPTY");
+
+    const std::string named = "BINGO_TEST_ENV_TYPO=\"30s\"";
+    const std::size_t first = err.find(named);
+    ASSERT_NE(first, std::string::npos) << err;
+    EXPECT_EQ(err.find(named, first + 1), std::string::npos) << err;
+    EXPECT_EQ(err.find("BINGO_TEST_ENV_EMPTY"), std::string::npos) << err;
 }
 
 } // namespace

@@ -550,8 +550,8 @@ TEST(PlannedStreamDeterminism, JournalsIdenticalAcrossBudgetsAndThreads)
 {
     constexpr std::uint64_t kDefaultBudget = std::uint64_t{512} << 20;
     const auto reference = plannedSweepJournal(0, 1);
-    // One record per job, one for the baseline, and manifest.sweep.
-    ASSERT_EQ(reference.size(), plannedStreamJobs().size() + 2);
+    // One record per job and one for the baseline.
+    ASSERT_EQ(reference.size(), plannedStreamJobs().size() + 1);
     EXPECT_EQ(reference, plannedSweepJournal(kDefaultBudget, 1));
     EXPECT_EQ(reference, plannedSweepJournal(0, 2));
     EXPECT_EQ(reference, plannedSweepJournal(kDefaultBudget, 2));

@@ -509,6 +509,16 @@ TEST(Watchdog, TimeoutConvertsHungJobIntoFailure)
     EXPECT_LT(outcomes[0].wall_seconds, 60.0);
 }
 
+TEST(Watchdog, TimeoutBeyondTheClockRangeNeverFires)
+{
+    // 1e10 s is past the end of steady_clock's range from now: the
+    // deadline saturates instead of overflowing into the past.
+    const EnvVar retries("BINGO_RETRIES", "0");
+    const EnvVar timeout("BINGO_JOB_TIMEOUT_S", "1e10");
+    for (const JobOutcome &outcome : runSweepOutcomes(smallSweep(), 1))
+        EXPECT_EQ(outcome.status, JobStatus::Ok) << outcome.error;
+}
+
 TEST(Watchdog, DeadlineThrowsSimErrorWithContext)
 {
     SystemConfig config;
