@@ -241,6 +241,113 @@ struct SystemConfig
     void validate() const;
 };
 
+/** The field groups of a SystemConfig, in serialization order. */
+enum class ConfigGroup
+{
+    Machine,   ///< Cores, caches, DRAM, seed, the spatial prefetchers.
+    Temporal,  ///< ISB, Domino and Hybrid knobs.
+    Chaos,     ///< The fault-injection plan.
+};
+
+/**
+ * Visit every SystemConfig field once, in serialization order: the one
+ * field list behind job fingerprints (sim/journal.cpp) and the worker
+ * wire format (dist/protocol.cpp). A field added to SystemConfig is
+ * added here, and both carry it.
+ *
+ * `visit.group(group, on)` opens each group and returns whether to
+ * visit its fields; `on` says whether the group matters to this
+ * config. Fingerprints write a group only when it is on, so every
+ * fingerprint from before the Temporal and Chaos groups existed stays
+ * byte-identical; the wire writes every group. `visit(field)` then
+ * takes each field by reference (const when `Config` is): an unsigned
+ * integer, a double, an enum, the bool chaos.enabled (the Chaos
+ * group's switch), or the vector of hybrid engines.
+ */
+template <typename Config, typename Visitor>
+void
+visitConfigFields(Config &cfg, Visitor &&visit)
+{
+    auto &pf = cfg.prefetcher;
+    if (visit.group(ConfigGroup::Machine, true)) {
+        visit(cfg.num_cores);
+        visit(cfg.frequency_ghz);
+        visit(cfg.seed);
+        visit(cfg.core.width);
+        visit(cfg.core.rob_entries);
+        visit(cfg.core.lsq_entries);
+        visit(cfg.core.alu_latency);
+        for (auto *cache : {&cfg.l1d, &cfg.llc}) {
+            visit(cache->size_bytes);
+            visit(cache->ways);
+            visit(cache->hit_latency);
+            visit(cache->mshr_entries);
+            visit(cache->prefetch_queue);
+            visit(cache->replacement);
+        }
+        visit(cfg.dram.channels);
+        visit(cfg.dram.banks_per_channel);
+        visit(cfg.dram.row_size_bytes);
+        visit(cfg.dram.controller_latency);
+        visit(cfg.dram.t_cas);
+        visit(cfg.dram.t_rcd);
+        visit(cfg.dram.t_rp);
+        visit(cfg.dram.data_transfer);
+        visit(cfg.dram.read_queue_entries);
+        visit(pf.kind);
+        visit(pf.region_blocks);
+        visit(pf.pht_entries);
+        visit(pf.pht_ways);
+        visit(pf.accumulation_entries);
+        visit(pf.filter_entries);
+        visit(pf.vote_threshold);
+        visit(pf.bop_rr_entries);
+        visit(pf.bop_score_max);
+        visit(pf.bop_round_max);
+        visit(pf.bop_bad_score);
+        visit(pf.bop_degree);
+        visit(pf.spp_signature_entries);
+        visit(pf.spp_pattern_entries);
+        visit(pf.spp_filter_entries);
+        visit(pf.spp_confidence_threshold);
+        visit(pf.spp_max_depth);
+        visit(pf.vldp_dhb_entries);
+        visit(pf.vldp_opt_entries);
+        visit(pf.vldp_dpt_entries);
+        visit(pf.vldp_degree);
+        visit(pf.ampm_map_entries);
+        visit(pf.ampm_degree);
+        visit(pf.stride_table_entries);
+        visit(pf.stride_degree);
+        visit(pf.num_events);
+    }
+    // Only the temporal engine kinds read these knobs.
+    if (visit.group(ConfigGroup::Temporal,
+                    pf.kind == PrefetcherKind::Isb ||
+                        pf.kind == PrefetcherKind::Domino ||
+                        pf.kind == PrefetcherKind::Hybrid)) {
+        visit(pf.isb_training_entries);
+        visit(pf.isb_mapping_entries);
+        visit(pf.isb_degree);
+        visit(pf.domino_table_entries);
+        visit(pf.domino_degree);
+        visit(pf.temporal_filter_entries);
+        visit(pf.temporal_filter_bits);
+        visit(pf.temporal_filter_threshold);
+        visit(pf.hybrid_engines);
+        visit(pf.hybrid_pc_entries);
+        visit(pf.hybrid_tracker_entries);
+        visit(pf.hybrid_counter_bits);
+        visit(pf.hybrid_issue_budget);
+    }
+    if (visit.group(ConfigGroup::Chaos, cfg.chaos.enabled)) {
+        visit(cfg.chaos.enabled);
+        visit(cfg.chaos.seed);
+        visit(cfg.chaos.rate);
+        visit(cfg.chaos.site_mask);
+    }
+}
+
 } // namespace bingo
 
 #endif // BINGO_COMMON_CONFIG_HPP

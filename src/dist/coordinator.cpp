@@ -53,7 +53,7 @@ class ScopedSigpipeIgnore
     Handler prev_ = SIG_ERR;
 };
 
-/** One unit of distributable work: a sweep job or a baseline warm. */
+/** One sweep job's dispatch state. */
 struct Item
 {
     enum class State
@@ -63,10 +63,7 @@ struct Item
         Done,      ///< Result received, or terminally resolved.
     };
 
-    bool baseline = false;
-    std::size_t job_index = 0;  ///< Into `jobs` (job items only).
-    std::uint64_t wire_index = 0;
-    SweepJob baseline_job;      ///< Materialized for baseline items.
+    std::size_t job = 0;  ///< Into `jobs`; also its wire index.
     std::string fingerprint;
 
     State state = State::Pending;
@@ -183,58 +180,19 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
 
     DistReport stats;
 
-    // --- Build the work list: deduplicated baseline warms first (they
-    // gate dependent jobs' metrics, mirroring the in-process pool
-    // order), then the pending sweep jobs.
-    std::vector<Item> items;
-    {
-        std::map<std::string, SweepJob> baselines;
-        for (std::size_t i : pending) {
-            if (!jobs[i].compare_baseline)
-                continue;
-            SweepJob base;
-            base.workload = jobs[i].workload;
-            base.options = jobs[i].options;
-            // Baselines always run the default substrate (see
-            // runIndexed in experiment.cpp).
-            base.config = SystemConfig{};
-            baselines.try_emplace(jobFingerprint(base), base);
-        }
-        std::uint64_t next_wire = jobs.size();
-        for (auto &[fingerprint, base] : baselines) {
-            RunResult restored;
-            if (!journal_dir.empty() &&
-                journalLoad(journal_dir, fingerprint, restored)) {
-                primeBaselineCache(base.workload, base.options,
-                                   restored);
-                continue;
-            }
-            Item item;
-            item.baseline = true;
-            item.baseline_job = base;
-            item.fingerprint = fingerprint;
-            item.wire_index = next_wire++;
-            items.push_back(std::move(item));
-        }
-    }
-    const std::size_t baseline_items = items.size();
-    for (std::size_t i : pending) {
-        Item item;
-        item.job_index = i;
-        item.wire_index = i;
-        item.fingerprint = jobFingerprint(jobs[i]);
-        items.push_back(std::move(item));
-    }
-    // Results name jobs by wire index; in_flight alone cannot identify
-    // a late (stale-lease) result's item.
+    // Results name jobs by wire index, the job index; in_flight alone
+    // cannot identify a late (stale-lease) result's item.
+    std::vector<Item> items(pending.size());
     std::map<std::uint64_t, std::size_t> item_by_wire;
-    for (std::size_t k = 0; k < items.size(); ++k)
-        item_by_wire.emplace(items[k].wire_index, k);
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+        items[k].job = pending[k];
+        items[k].fingerprint = jobFingerprint(jobs[pending[k]]);
+        item_by_wire.emplace(pending[k], k);
+    }
 
-    std::printf("Distributed sweep: %llu job(s)%s across %u worker "
+    std::printf("Distributed sweep: %llu job(s) across %u worker "
                 "process(es)%s\n",
                 static_cast<unsigned long long>(pending.size()),
-                baseline_items > 0 ? " (+ baselines)" : "",
                 num_workers,
                 hosts.empty() ? "" : " via BINGO_DIST_HOSTS");
 
@@ -258,11 +216,6 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
     std::uint64_t total_runs = 0;
     std::uint64_t total_cycles = 0;
 
-    const auto jobOf = [&](const Item &item) -> const SweepJob & {
-        return item.baseline ? item.baseline_job
-                             : jobs[item.job_index];
-    };
-
     // Fold a link's fault count into the sweep report. Called exactly
     // once per link instance: right before every stopWorker (which
     // resets the link); on a link-less slot it is a no-op.
@@ -279,8 +232,8 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                      "bingo: job %llu (%s) quarantined as POISON after "
                      "killing %u consecutive worker(s) (last: %s); "
                      "sweep continues without it\n",
-                     static_cast<unsigned long long>(item.wire_index),
-                     jobOf(item).workload.c_str(), item.kills, reason);
+                     static_cast<unsigned long long>(item.job),
+                     jobs[item.job].workload.c_str(), item.kills, reason);
     };
 
     // Only a crash or a hang is the in-flight job's doing and counts
@@ -312,7 +265,7 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                     item.not_before =
                         Clock::now() +
                         std::chrono::milliseconds(retryBackoffMs(
-                            item.wire_index,
+                            item.job,
                             crashed ? item.kills : ++item.requeues));
                     ++stats.redispatched;
                     std::fprintf(
@@ -321,7 +274,7 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                         "job %llu\n",
                         s, reason,
                         static_cast<unsigned long long>(
-                            item.wire_index));
+                            item.job));
                 }
             }
         } else {
@@ -335,20 +288,6 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                 Clock::now() +
                 std::chrono::milliseconds(
                     retryBackoffMs(s, slot.proc.spawn_count));
-        }
-    };
-
-    // The coordinator is the sweep's only journal writer: a job's or
-    // baseline's result commits the moment it is accepted, through the
-    // same journalStore the in-process runner calls. Workers never
-    // touch disk.
-    const auto commit = [&](const Item &item) {
-        if (journal_dir.empty())
-            return;
-        try {
-            journalStore(journal_dir, item.fingerprint, item.run);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "bingo: %s\n", e.what());
         }
     };
 
@@ -384,7 +323,7 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                 item.not_before =
                     Clock::now() +
                     std::chrono::milliseconds(retryBackoffMs(
-                        item.wire_index, ++item.requeues));
+                        item.job, ++item.requeues));
                 ++stats.leases_revoked;
                 ++stats.redispatched;
                 std::fprintf(
@@ -393,7 +332,7 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                     "was believed in flight; revoking lease %llu and "
                     "re-dispatching\n",
                     slot.proc.slot,
-                    static_cast<unsigned long long>(item.wire_index),
+                    static_cast<unsigned long long>(item.job),
                     static_cast<unsigned long long>(item.lease));
             }
             break;
@@ -454,7 +393,7 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                 break;
             }
             item.have_run = true;
-            commit(item);
+            journalCommit(journal_dir, item.fingerprint, item.run);
             break;
         }
         default:
@@ -570,10 +509,10 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
             if (next == nullptr)
                 continue;
             WireJob wire;
-            wire.index = next->wire_index;
+            wire.index = next->job;
             wire.lease = ++next->lease;
             wire.fingerprint = next->fingerprint;
-            wire.job = jobOf(*next);
+            wire.job = jobs[next->job];
             if (!slot.proc.link ||
                 !slot.proc.link->send(MsgType::Job, encodeJob(wire))) {
                 workerDied(slot, "send failed", Loss::LinkEnded);
@@ -607,18 +546,18 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                     item.interrupted = true;
                     continue;
                 }
-                const JobOutcome outcome = runSingleJob(
-                    jobOf(item), item.wire_index, item.run);
+                const JobOutcome outcome =
+                    runSingleJob(jobs[item.job], item.job, item.run);
                 item.state = Item::State::Done;
                 item.have_result = true;
-                item.result.index = item.wire_index;
+                item.result.index = item.job;
                 item.result.status = outcome.status;
                 item.result.attempts = outcome.attempts;
                 item.result.wall_seconds = outcome.wall_seconds;
                 item.result.error = outcome.error;
                 if (outcome.ok()) {
                     item.have_run = true;
-                    commit(item);
+                    journalCommit(journal_dir, item.fingerprint, item.run);
                 }
                 ++stats.fallback_jobs;
             }
@@ -643,19 +582,9 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
 
     addExternalRunStats(total_runs, total_cycles);
 
-    // --- Materialize outcomes (and prime baselines, exactly as the
-    // in-process baselineFor would have).
+    // --- Materialize outcomes.
     for (Item &item : items) {
-        if (item.baseline) {
-            if (item.have_run)
-                primeBaselineCache(item.baseline_job.workload,
-                                   item.baseline_job.options, item.run);
-            // A failed/interrupted baseline is swallowed like the
-            // in-process warmOne: the bench's own baselineFor call
-            // will retry and report in context.
-            continue;
-        }
-        JobOutcome &outcome = outcomes[item.job_index];
+        JobOutcome &outcome = outcomes[item.job];
         if (item.poisoned) {
             outcome.status = JobStatus::Failed;
             outcome.attempts = item.kills;

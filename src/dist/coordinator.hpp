@@ -40,13 +40,13 @@
  *    live worker) as a poison job: reported Failed, the sweep goes on;
  *  - is the sweep's only journal writer: it decodes each accepted
  *    result's record once and commits it with journalStore on
- *    receipt — baselines included — exactly as the in-process runner
- *    does, so the journal is byte-identical to a single-process run of
- *    the same jobs (journalEncode is the only record serializer, it
- *    round-trips through journalDecode, and simulations are
- *    deterministic). A coordinator kill -9 loses at most the one
- *    in-flight job per worker, which re-simulates when the original
- *    driver is rerun on the same BINGO_JOURNAL_DIR;
+ *    receipt, exactly as the in-process runner does, so the journal
+ *    is byte-identical to a single-process run of the same jobs
+ *    (journalEncode is the only record serializer, it round-trips
+ *    through journalDecode, and simulations are deterministic). A
+ *    coordinator kill -9 loses at most the one in-flight job per
+ *    worker, which re-simulates when the original driver is rerun on
+ *    the same BINGO_JOURNAL_DIR;
  *  - drains gracefully on SIGINT/SIGTERM (and ignores SIGPIPE for the
  *    duration, so a worker dying mid-write surfaces as a structured
  *    transport error): no new dispatches, in-flight jobs finish and
@@ -100,14 +100,13 @@ struct DistReport
 };
 
 /**
- * Run jobs[pending...] across worker processes, filling
- * outcomes[i] for each pending i (other entries are untouched — the
- * caller already resolved them from the journal). Baselines requested
- * via compare_baseline are dispatched as explicit worker jobs,
- * journaled on receipt, and primed into this process's baseline cache
- * (matching the in-process baselineFor). `num_workers` 0
- * means sweepDistWorkers(), or the BINGO_DIST_HOSTS host count when
- * that is the only configuration given.
+ * Run jobs[pending...] across worker processes, in `pending` order,
+ * filling outcomes[i] for each pending i (other entries are untouched
+ * — the caller already resolved them from the journal). A job's index
+ * is its wire index. Every job is an ordinary job here: the baselines
+ * a sweep requests arrive as jobs appended by runSweepOutcomes.
+ * `num_workers` 0 means sweepDistWorkers(), or the BINGO_DIST_HOSTS
+ * host count when that is the only configuration given.
  *
  * Returns false — with outcomes untouched — when no workers can be
  * launched (no BINGO_DIST_HOSTS and the bingo_worker binary cannot be

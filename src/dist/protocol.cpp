@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <sstream>
+#include <type_traits>
+#include <vector>
 
 #include "sim/journal.hpp"
 
@@ -53,15 +55,133 @@ getString(std::istream &in, std::string &out)
         in.read(out.data(), static_cast<std::streamsize>(length)));
 }
 
+const char *
+groupLabel(ConfigGroup group)
+{
+    switch (group) {
+    case ConfigGroup::Machine:
+        return "machine";
+    case ConfigGroup::Temporal:
+        return "temporal";
+    case ConfigGroup::Chaos:
+        return "chaos";
+    }
+    return "";
+}
+
+/** The largest valid value of each enum the wire carries. */
+constexpr unsigned
+maxValue(ReplacementKind)
+{
+    return static_cast<unsigned>(ReplacementKind::Random);
+}
+
+constexpr unsigned
+maxValue(PrefetcherKind)
+{
+    return static_cast<unsigned>(PrefetcherKind::Hybrid);
+}
+
+/** Hybrid arbiters host at most this many engines on the wire. */
+constexpr std::size_t kMaxEngines = 8;
+
+/**
+ * Writes every config group through visitConfigFields, one line per
+ * group: its label, then each field (enums and bools as unsigned,
+ * doubles as their IEEE-754 bits).
+ */
+struct ConfigWriter
+{
+    std::ostream &out;
+
+    bool
+    group(ConfigGroup group, bool)
+    {
+        out << '\n' << groupLabel(group);
+        return true;
+    }
+
+    template <typename T>
+    void
+    operator()(const T &value)
+    {
+        if constexpr (std::is_same_v<T, double>)
+            out << ' ' << doubleBits(value);
+        else if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>)
+            out << ' ' << static_cast<unsigned>(value);
+        else
+            out << ' ' << value;
+    }
+
+    void
+    operator()(const std::vector<PrefetcherKind> &engines)
+    {
+        out << ' ' << engines.size();
+        for (const PrefetcherKind engine : engines)
+            (*this)(engine);
+    }
+};
+
+/**
+ * Reads what ConfigWriter wrote, range-checking every enum and the
+ * engine count; `ok` turns false at the first malformed field.
+ */
+struct ConfigReader
+{
+    std::istream &in;
+    bool ok = true;
+
+    bool
+    group(ConfigGroup group, bool)
+    {
+        ok = ok && expect(in, groupLabel(group));
+        return ok;
+    }
+
+    template <typename T>
+    void
+    operator()(T &value)
+    {
+        if (!ok)
+            return;
+        if constexpr (std::is_same_v<T, double>) {
+            std::uint64_t bits = 0;
+            ok = static_cast<bool>(in >> bits);
+            value = doubleFromBits(bits);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            unsigned raw = 0;
+            ok = static_cast<bool>(in >> raw);
+            value = raw != 0;
+        } else if constexpr (std::is_enum_v<T>) {
+            unsigned raw = 0;
+            ok = (in >> raw) && raw <= maxValue(T{});
+            if (ok)
+                value = static_cast<T>(raw);
+        } else {
+            ok = static_cast<bool>(in >> value);
+        }
+    }
+
+    void
+    operator()(std::vector<PrefetcherKind> &engines)
+    {
+        std::size_t count = 0;
+        ok = ok && (in >> count) && count <= kMaxEngines;
+        if (!ok)
+            return;
+        engines.assign(count, PrefetcherKind::None);
+        for (PrefetcherKind &engine : engines)
+            (*this)(engine);
+    }
+};
+
 } // namespace
 
 std::string
 encodeJob(const WireJob &wire)
 {
-    const SystemConfig &cfg = wire.job.config;
-    const PrefetcherConfig &pf = cfg.prefetcher;
     std::ostringstream out;
-    out << "job 3\n";
+    out << "job 4\n";
     out << "index " << wire.index << '\n';
     out << "lease " << wire.lease << '\n';
     out << "fingerprint " << wire.fingerprint << '\n';
@@ -70,56 +190,9 @@ encodeJob(const WireJob &wire)
     out << '\n';
     out << "options " << wire.job.options.warmup_instructions << ' '
         << wire.job.options.measure_instructions << ' '
-        << wire.job.options.seed << ' '
-        << (wire.job.compare_baseline ? 1 : 0) << '\n';
-    out << "system " << cfg.num_cores << ' '
-        << doubleBits(cfg.frequency_ghz) << ' ' << cfg.seed << '\n';
-    out << "core " << cfg.core.width << ' ' << cfg.core.rob_entries
-        << ' ' << cfg.core.lsq_entries << ' ' << cfg.core.alu_latency
-        << '\n';
-    for (const auto &[label, cache] :
-         {std::pair<const char *, const CacheConfig &>{"l1d", cfg.l1d},
-          {"llc", cfg.llc}}) {
-        out << label << ' ' << cache.size_bytes << ' ' << cache.ways
-            << ' ' << cache.hit_latency << ' ' << cache.mshr_entries
-            << ' ' << cache.prefetch_queue << ' '
-            << static_cast<unsigned>(cache.replacement) << '\n';
-    }
-    out << "dram " << cfg.dram.channels << ' '
-        << cfg.dram.banks_per_channel << ' ' << cfg.dram.row_size_bytes
-        << ' ' << cfg.dram.controller_latency << ' ' << cfg.dram.t_cas
-        << ' ' << cfg.dram.t_rcd << ' ' << cfg.dram.t_rp << ' '
-        << cfg.dram.data_transfer << ' ' << cfg.dram.read_queue_entries
-        << '\n';
-    out << "pf " << static_cast<unsigned>(pf.kind) << ' '
-        << pf.region_blocks << ' ' << pf.pht_entries << ' '
-        << pf.pht_ways << ' ' << pf.accumulation_entries << ' '
-        << pf.filter_entries << ' ' << doubleBits(pf.vote_threshold)
-        << ' ' << pf.bop_rr_entries << ' ' << pf.bop_score_max << ' '
-        << pf.bop_round_max << ' ' << pf.bop_bad_score << ' '
-        << pf.bop_degree << ' ' << pf.spp_signature_entries << ' '
-        << pf.spp_pattern_entries << ' ' << pf.spp_filter_entries
-        << ' ' << doubleBits(pf.spp_confidence_threshold) << ' '
-        << pf.spp_max_depth << ' ' << pf.vldp_dhb_entries << ' '
-        << pf.vldp_opt_entries << ' ' << pf.vldp_dpt_entries << ' '
-        << pf.vldp_degree << ' ' << pf.ampm_map_entries << ' '
-        << pf.ampm_degree << ' ' << pf.stride_table_entries << ' '
-        << pf.stride_degree << ' ' << pf.num_events << '\n';
-    out << "temporal " << pf.isb_training_entries << ' '
-        << pf.isb_mapping_entries << ' ' << pf.isb_degree << ' '
-        << pf.domino_table_entries << ' ' << pf.domino_degree << ' '
-        << pf.temporal_filter_entries << ' ' << pf.temporal_filter_bits
-        << ' ' << pf.temporal_filter_threshold << ' '
-        << pf.hybrid_pc_entries << ' ' << pf.hybrid_tracker_entries
-        << ' ' << pf.hybrid_counter_bits << ' '
-        << pf.hybrid_issue_budget << ' ' << pf.hybrid_engines.size();
-    for (PrefetcherKind engine : pf.hybrid_engines)
-        out << ' ' << static_cast<unsigned>(engine);
-    out << '\n';
-    out << "chaos " << (cfg.chaos.enabled ? 1 : 0) << ' '
-        << cfg.chaos.seed << ' ' << doubleBits(cfg.chaos.rate) << ' '
-        << cfg.chaos.site_mask << '\n';
-    out << "end\n";
+        << wire.job.options.seed;
+    visitConfigFields(wire.job.config, ConfigWriter{out});
+    out << "\nend\n";
     return out.str();
 }
 
@@ -128,12 +201,10 @@ decodeJob(const std::string &payload, WireJob &out)
 {
     std::istringstream in(payload);
     unsigned version = 0;
-    if (!expect(in, "job") || !(in >> version) || version != 3)
+    if (!expect(in, "job") || !(in >> version) || version != 4)
         return false;
 
     WireJob wire;
-    SystemConfig &cfg = wire.job.config;
-    PrefetcherConfig &pf = cfg.prefetcher;
     if (!expect(in, "index") || !(in >> wire.index))
         return false;
     if (!expect(in, "lease") || !(in >> wire.lease))
@@ -142,93 +213,14 @@ decodeJob(const std::string &payload, WireJob &out)
         return false;
     if (!expect(in, "workload") || !getString(in, wire.job.workload))
         return false;
-    unsigned compare_baseline = 0;
     if (!expect(in, "options") ||
         !(in >> wire.job.options.warmup_instructions >>
           wire.job.options.measure_instructions >>
-          wire.job.options.seed >> compare_baseline))
+          wire.job.options.seed))
         return false;
-    wire.job.compare_baseline = compare_baseline != 0;
-
-    std::uint64_t frequency_bits = 0;
-    if (!expect(in, "system") ||
-        !(in >> cfg.num_cores >> frequency_bits >> cfg.seed))
-        return false;
-    cfg.frequency_ghz = doubleFromBits(frequency_bits);
-    if (!expect(in, "core") ||
-        !(in >> cfg.core.width >> cfg.core.rob_entries >>
-          cfg.core.lsq_entries >> cfg.core.alu_latency))
-        return false;
-    for (const auto &[label, cache] :
-         {std::pair<const char *, CacheConfig &>{"l1d", cfg.l1d},
-          {"llc", cfg.llc}}) {
-        unsigned replacement = 0;
-        if (!expect(in, label) ||
-            !(in >> cache.size_bytes >> cache.ways >>
-              cache.hit_latency >> cache.mshr_entries >>
-              cache.prefetch_queue >> replacement) ||
-            replacement > static_cast<unsigned>(ReplacementKind::Random))
-            return false;
-        cache.replacement = static_cast<ReplacementKind>(replacement);
-    }
-    if (!expect(in, "dram") ||
-        !(in >> cfg.dram.channels >> cfg.dram.banks_per_channel >>
-          cfg.dram.row_size_bytes >> cfg.dram.controller_latency >>
-          cfg.dram.t_cas >> cfg.dram.t_rcd >> cfg.dram.t_rp >>
-          cfg.dram.data_transfer >> cfg.dram.read_queue_entries))
-        return false;
-
-    unsigned kind = 0;
-    std::uint64_t vote_bits = 0;
-    std::uint64_t spp_conf_bits = 0;
-    if (!expect(in, "pf") ||
-        !(in >> kind >> pf.region_blocks >> pf.pht_entries >>
-          pf.pht_ways >> pf.accumulation_entries >> pf.filter_entries >>
-          vote_bits >> pf.bop_rr_entries >> pf.bop_score_max >>
-          pf.bop_round_max >> pf.bop_bad_score >> pf.bop_degree >>
-          pf.spp_signature_entries >> pf.spp_pattern_entries >>
-          pf.spp_filter_entries >> spp_conf_bits >> pf.spp_max_depth >>
-          pf.vldp_dhb_entries >> pf.vldp_opt_entries >>
-          pf.vldp_dpt_entries >> pf.vldp_degree >> pf.ampm_map_entries >>
-          pf.ampm_degree >> pf.stride_table_entries >>
-          pf.stride_degree >> pf.num_events) ||
-        kind > static_cast<unsigned>(PrefetcherKind::Hybrid))
-        return false;
-    pf.kind = static_cast<PrefetcherKind>(kind);
-    pf.vote_threshold = doubleFromBits(vote_bits);
-    pf.spp_confidence_threshold = doubleFromBits(spp_conf_bits);
-
-    std::size_t n_engines = 0;
-    if (!expect(in, "temporal") ||
-        !(in >> pf.isb_training_entries >> pf.isb_mapping_entries >>
-          pf.isb_degree >> pf.domino_table_entries >>
-          pf.domino_degree >> pf.temporal_filter_entries >>
-          pf.temporal_filter_bits >> pf.temporal_filter_threshold >>
-          pf.hybrid_pc_entries >> pf.hybrid_tracker_entries >>
-          pf.hybrid_counter_bits >> pf.hybrid_issue_budget >>
-          n_engines) ||
-        n_engines > 8)
-        return false;
-    pf.hybrid_engines.clear();
-    for (std::size_t i = 0; i < n_engines; ++i) {
-        unsigned engine = 0;
-        if (!(in >> engine) ||
-            engine > static_cast<unsigned>(PrefetcherKind::Hybrid))
-            return false;
-        pf.hybrid_engines.push_back(
-            static_cast<PrefetcherKind>(engine));
-    }
-
-    unsigned chaos_enabled = 0;
-    std::uint64_t rate_bits = 0;
-    if (!expect(in, "chaos") ||
-        !(in >> chaos_enabled >> cfg.chaos.seed >> rate_bits >>
-          cfg.chaos.site_mask))
-        return false;
-    cfg.chaos.enabled = chaos_enabled != 0;
-    cfg.chaos.rate = doubleFromBits(rate_bits);
-
-    if (!expect(in, "end"))
+    ConfigReader reader{in};
+    visitConfigFields(wire.job.config, reader);
+    if (!reader.ok || !expect(in, "end"))
         return false;
     out = std::move(wire);
     return true;

@@ -11,9 +11,12 @@
  * codec carries a version; a field removed from a message bumps it.
  *
  * Messages:
- *  - coordinator → worker: `job` (a fully serialized SweepJob plus the
- *    coordinator's job index, fingerprint and lease token). Closing
- *    the link (EOF) tells a worker to exit.
+ *  - coordinator → worker: `job` (a SweepJob's workload, options and
+ *    every SystemConfig field, written through the same
+ *    visitConfigFields list as its fingerprint, plus the coordinator's
+ *    job index, fingerprint and lease token; compare_baseline does not
+ *    travel, as the coordinator sends baselines as jobs of their own).
+ *    Closing the link (EOF) tells a worker to exit.
  *  - worker → coordinator: `hello` (version handshake),
  *    `heartbeat` (liveness plus busy/idle state, every few hundred ms
  *    from a dedicated thread even while a simulation runs — the
@@ -31,10 +34,11 @@
  * commit is an invariant of the coordinator, not a property of worker
  * good behaviour.
  *
- * Drift guard: the worker re-derives the job fingerprint from the
- * decoded SweepJob and refuses a mismatch. A SystemConfig field added
- * to the fingerprint but forgotten here therefore fails loudly at the
- * first dispatch instead of silently simulating the wrong config.
+ * Build-skew guard: the worker re-derives the job fingerprint from the
+ * decoded SweepJob and refuses a mismatch. Fingerprint and wire share
+ * one field list, so a mismatch means the coordinator and the worker
+ * come from different builds; the job then fails loudly at its first
+ * dispatch instead of silently simulating the wrong config.
  */
 
 #ifndef BINGO_DIST_PROTOCOL_HPP

@@ -44,10 +44,11 @@ setNonBlocking(int fd)
 
 /** Post-spawn bookkeeping once the worker's pipes are connected. */
 void
-armWorker(WorkerProc &out, pid_t pid, unsigned slot, int read_fd,
-          int write_fd)
+armWorker(WorkerProc &out, pid_t pid, bool own_group, unsigned slot,
+          int read_fd, int write_fd)
 {
     out.pid = pid;
+    out.own_group = own_group;
     out.slot = slot;
     ++out.spawn_count;
     out.said_hello = false;
@@ -164,7 +165,14 @@ spawnWorker(const std::string &binary, const std::string *host,
             ::close(fd);
         return false;
     }
+    // A template's shell may fork the worker rather than exec it, so a
+    // template worker leads its own process group, and stopWorker
+    // kills the group. (Set on both sides of the fork, so the group
+    // exists whichever runs first.) A direct worker stays in ours.
+    const bool own_group = host != nullptr;
     if (pid == 0) {
+        if (own_group)
+            ::setpgid(0, 0);
         ::close(to_worker[1]);
         ::close(from_worker[0]);
         if (::dup2(to_worker[0], 0) != 0 ||
@@ -176,17 +184,19 @@ spawnWorker(const std::string &binary, const std::string *host,
         ::_exit(127);
     }
 
+    if (own_group)
+        ::setpgid(pid, pid);
     ::close(to_worker[0]);
     ::close(from_worker[1]);
     if (!setNonBlocking(from_worker[0])) {
         ::close(to_worker[1]);
         ::close(from_worker[0]);
-        ::kill(pid, SIGKILL);
+        ::kill(own_group ? -pid : pid, SIGKILL);
         int status = 0;
         ::waitpid(pid, &status, 0);
         return false;
     }
-    armWorker(out, pid, slot, from_worker[0], to_worker[1]);
+    armWorker(out, pid, own_group, slot, from_worker[0], to_worker[1]);
     return true;
 }
 
@@ -206,7 +216,7 @@ stopWorker(WorkerProc &worker, std::chrono::milliseconds grace)
            std::chrono::steady_clock::now() < give_up)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     if (reaped != pid) {
-        ::kill(pid, SIGKILL);
+        ::kill(worker.own_group ? -pid : pid, SIGKILL);
         while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
         }
         return false;

@@ -54,6 +54,10 @@ std::vector<std::string> sweepDistHosts();
 struct WorkerProc
 {
     pid_t pid = -1;
+    /// Leads its own process group (BINGO_DIST_HOSTS workers): a kill
+    /// reaches the whole group, so a worker forked by its template's
+    /// shell dies with the shell.
+    bool own_group = false;
     unsigned slot = 0;             ///< Stable worker slot (w<slot>).
     unsigned spawn_count = 0;      ///< Spawns consumed for this slot.
     bool said_hello = false;
@@ -81,9 +85,11 @@ struct WorkerProc
  * Fork/exec one `bingo_worker --stdio` for `slot` with its stdin and
  * stdout piped to the coordinator. With `host` null the worker binary
  * is exec'd directly as `<binary> --stdio --slot <n> --fault-epoch
- * <e>`; with a BINGO_DIST_HOSTS template it runs as `/bin/sh -c
- * "<host> --stdio --slot <n> --fault-epoch <e>"`. The epoch is the
- * slot's spawn number, so a respawn's transport-fault stream differs
+ * <e>`, in the caller's process group; with a BINGO_DIST_HOSTS
+ * template it runs as `/bin/sh -c "<host> --stdio --slot <n>
+ * --fault-epoch <e>"` in a process group of its own, since the shell
+ * may fork the command instead of exec'ing it. The epoch is the slot's
+ * spawn number, so a respawn's transport-fault stream differs
  * from its predecessor's. On success fills pid and the FramedLink
  * (coordinator read end non-blocking; the worker reroutes its own
  * stdout chatter to stderr) and resets the liveness clocks. Returns
@@ -96,10 +102,11 @@ bool spawnWorker(const std::string &binary, const std::string *host,
  * Tear `worker` down — the single teardown path — and say whether its
  * process crashed. Drops the link first (EOF is a worker's order to
  * exit, and it exits 0), gives the process up to `grace` to exit by
- * itself, then SIGKILLs and reaps it; leaves pid at -1, safe on a dead
- * worker. True when it died by a signal or exited nonzero before the
- * SIGKILL. Worker death is *detected* by the coordinator through link
- * EOF (which flushes any buffered final frames first) or a
+ * itself, then SIGKILLs it (its whole process group, for a template
+ * worker) and reaps it; leaves pid at -1, safe on a dead worker. True
+ * when it died by a signal or exited nonzero before the SIGKILL.
+ * Worker death is *detected* by the coordinator through link EOF
+ * (which flushes any buffered final frames first) or a
  * heartbeat/deadline expiry, never by dropping the link early — a dead
  * worker's pipe may still hold its last `result`.
  */

@@ -32,8 +32,8 @@ namespace
 /**
  * Claim the `:once` marker `tag.<index>.fired` in BINGO_DIST_TEST_DIR,
  * the directory every worker of the sweep shares so the knob fires in
- * exactly one process; false = already claimed by another worker, or
- * BINGO_DIST_TEST_DIR is unset.
+ * exactly one process, and write this worker's pid into it; false =
+ * already claimed by another worker, or BINGO_DIST_TEST_DIR is unset.
  */
 bool
 claimOnce(const char *tag, std::uint64_t index)
@@ -50,6 +50,9 @@ claimOnce(const char *tag, std::uint64_t index)
         ::open(marker.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
     if (fd < 0)
         return false;
+    const std::string pid = std::to_string(::getpid()) + "\n";
+    const ssize_t written = ::write(fd, pid.data(), pid.size());
+    (void)written;
     ::close(fd);
     return true;
 }
@@ -192,17 +195,17 @@ workerMain(int read_fd, int write_fd, unsigned slot,
         result.index = wire.index;
         result.lease = wire.lease;
 
-        // Drift guard: a config field missing from the wire format
-        // yields a different fingerprint here than the coordinator
-        // computed — fail the job loudly instead of silently
-        // simulating the wrong machine.
+        // Build-skew guard: the fingerprint and the wire format share
+        // one field list (visitConfigFields), so a mismatch here means
+        // a coordinator and a worker from different builds — fail the
+        // job loudly instead of silently simulating the wrong machine.
         const std::string derived = jobFingerprint(wire.job);
         if (derived != wire.fingerprint) {
             result.status = JobStatus::Failed;
             result.error =
                 "job fingerprint drift: coordinator sent " +
                 wire.fingerprint + ", worker derived " + derived +
-                " — wire serialization out of sync with SystemConfig";
+                " — coordinator and worker builds differ";
             const bool sent =
                 send(MsgType::Result, encodeResult(result));
             busy.store(false, std::memory_order_relaxed);

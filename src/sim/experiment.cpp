@@ -10,8 +10,10 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include <unistd.h>
@@ -37,49 +39,6 @@ namespace
 std::atomic<std::uint64_t> g_completed_runs{0};
 std::atomic<std::uint64_t> g_simulated_cycles{0};
 
-/** Cache key: the full identity of a baseline run. */
-std::string
-baselineKey(const std::string &workload,
-            const ExperimentOptions &options)
-{
-    return workload + "/" +
-           std::to_string(options.warmup_instructions) + "/" +
-           std::to_string(options.measure_instructions) + "/" +
-           std::to_string(options.seed);
-}
-
-/**
- * Identity of everything in a SystemConfig except the prefetcher —
- * baselines ignore the prefetcher knobs, but two different substrates
- * must never share a cache entry.
- */
-std::string
-substrateFingerprint(const SystemConfig &config)
-{
-    char buf[256];
-    std::snprintf(
-        buf, sizeof(buf),
-        "%u|%.3f|%u|%u|%u|%u|%llu|%u|%u|%u|%u|%u|%llu|%u|%u|%u|%u|%u|"
-        "%u|%llu|%u|%u|%u|%u|%u|%u",
-        config.num_cores, config.frequency_ghz, config.core.width,
-        config.core.rob_entries, config.core.lsq_entries,
-        config.core.alu_latency,
-        static_cast<unsigned long long>(config.l1d.size_bytes),
-        config.l1d.ways, config.l1d.hit_latency,
-        config.l1d.mshr_entries, config.l1d.prefetch_queue,
-        static_cast<unsigned>(config.l1d.replacement),
-        static_cast<unsigned long long>(config.llc.size_bytes),
-        config.llc.ways, config.llc.hit_latency,
-        config.llc.mshr_entries, config.llc.prefetch_queue,
-        static_cast<unsigned>(config.llc.replacement),
-        config.dram.channels,
-        static_cast<unsigned long long>(config.dram.row_size_bytes),
-        config.dram.banks_per_channel, config.dram.controller_latency,
-        config.dram.t_cas, config.dram.t_rcd, config.dram.t_rp,
-        config.dram.data_transfer);
-    return buf;
-}
-
 /**
  * The config a run's System is built from: the run's seed, plus the
  * BINGO_CHAOS spec unless the config sets chaos itself.
@@ -92,16 +51,61 @@ runConfig(SystemConfig config, const ExperimentOptions &options)
     return config;
 }
 
+/** The no-prefetcher baseline job of `workload` on `config`'s
+ *  substrate (everything but the prefetcher). */
+SweepJob
+baselineJob(const std::string &workload, SystemConfig config,
+            const ExperimentOptions &options)
+{
+    config.prefetcher = PrefetcherConfig{};
+    return {workload, std::move(config), options};
+}
+
+/** Jobs that replay the same trace streams: workload, run lengths and
+ *  seed. A job's baseline shares its key. */
+using StreamKey =
+    std::tuple<std::string, std::uint64_t, std::uint64_t, std::uint64_t>;
+
+StreamKey
+streamOf(const SweepJob &job)
+{
+    return {job.workload, job.options.warmup_instructions,
+            job.options.measure_instructions, job.options.seed};
+}
+
 struct BaselineSlot
 {
     bool ready = false;
     RunResult result;
 };
 
+// Memoized baselines, keyed by the jobFingerprint of their job.
 std::mutex g_baseline_mutex;
 std::condition_variable g_baseline_cv;
 std::map<std::string, BaselineSlot> g_baseline_cache;
-std::string g_baseline_substrate;
+
+bool
+baselineMemoized(const std::string &fingerprint)
+{
+    std::lock_guard<std::mutex> lock(g_baseline_mutex);
+    const auto it = g_baseline_cache.find(fingerprint);
+    return it != g_baseline_cache.end() && it->second.ready;
+}
+
+/** Publish a baseline's result; an entry already ready is kept, since
+ *  callers may hold references to it. */
+const RunResult &
+memoizeBaseline(const std::string &fingerprint, RunResult result)
+{
+    std::lock_guard<std::mutex> lock(g_baseline_mutex);
+    BaselineSlot &slot = g_baseline_cache[fingerprint];
+    if (!slot.ready) {
+        slot.result = std::move(result);
+        slot.ready = true;
+        g_baseline_cv.notify_all();
+    }
+    return slot.result;
+}
 
 // --- Graceful SIGINT/SIGTERM drain -------------------------------------
 
@@ -274,8 +278,8 @@ runJobWithRetries(const SweepJob &job, std::size_t index,
 /**
  * Shared sweep engine: run the jobs selected by `indices` (indices
  * into `jobs`, preserving the caller's numbering for collect/hook/
- * outcomes) plus the deduplicated baselines they request, grouped by
- * trace stream, under a trace-cache plan of every System it builds.
+ * outcomes), grouped by trace stream, under a trace-cache plan of
+ * every System it builds.
  */
 void
 runIndexed(const std::vector<SweepJob> &jobs,
@@ -302,115 +306,61 @@ runIndexed(const std::vector<SweepJob> &jobs,
             runJobWithRetries(jobs[i], i, collect, fault_hook);
     };
 
-    // Baselines always run on the default substrate, matching the
-    // benches' direct baselineFor(workload, SystemConfig{}, options)
-    // calls — a job may sweep substrate knobs (e.g. LLC replacement)
-    // while its reference point stays the Table I machine. A baseline
-    // warm failure is swallowed here: the bench's own baselineFor call
-    // will retry it and report the error in context.
-    const auto warmOne = [&](std::size_t i) {
-        if (sweepInterrupted())
-            return;
-        try {
-            baselineFor(jobs[i].workload, SystemConfig{},
-                        jobs[i].options);
-        } catch (...) {
-        }
-    };
-
-    // Group jobs that share a trace stream identity — exactly the
-    // baseline key (workload, warmup, measure, seed) — in first-seen
-    // order. A group's baseline, if any of its jobs asks for one, is
-    // computed once.
-    struct Group
+    // Run jobs that share a trace stream back to back, groups in
+    // first-seen order, so every use of a stream falls close together
+    // and its cached buffer is still resident for the last one.
+    std::vector<std::vector<std::size_t>> groups;
     {
-        std::vector<std::size_t> jobs;
-        bool baseline = false;
-    };
-    std::vector<Group> groups;
-    {
-        std::map<std::string, std::size_t> slot;
+        std::map<StreamKey, std::size_t> slot;
         for (std::size_t i : indices) {
-            const auto [it, inserted] = slot.try_emplace(
-                baselineKey(jobs[i].workload, jobs[i].options),
-                groups.size());
+            const auto [it, inserted] =
+                slot.try_emplace(streamOf(jobs[i]), groups.size());
             if (inserted)
                 groups.emplace_back();
-            Group &group = groups[it->second];
-            group.jobs.push_back(i);
-            group.baseline = group.baseline || jobs[i].compare_baseline;
+            groups[it->second].push_back(i);
         }
     }
+    std::vector<std::size_t> order;
+    order.reserve(indices.size());
+    for (const std::vector<std::size_t> &group : groups)
+        order.insert(order.end(), group.begin(), group.end());
 
     // Plan the trace cache: every System the sweep builds, so a stream
     // only one of them replays (or one too long to keep under the
-    // budget) skips the cache. A requested baseline counts even when
-    // it is memoized or journaled: overcounting only keeps a stream
-    // cached as it would be without a plan. A config the System would
-    // reject (a bad BINGO_CHAOS spec) fails its job on its own and
-    // plans nothing.
+    // budget) skips the cache. A config the System would reject (a bad
+    // BINGO_CHAOS spec) fails its job on its own and plans nothing.
     std::vector<TraceDemand> demand;
-    const auto plan = [&](const std::string &workload,
-                          const SystemConfig &config,
-                          const ExperimentOptions &options) {
+    for (std::size_t i : order) {
+        const SweepJob &job = jobs[i];
         TraceDemand d;
         try {
             d.translated = System::replaysTranslatedStreams(
-                runConfig(config, options));
+                runConfig(job.config, job.options));
         } catch (...) {
-            return;
+            continue;
         }
-        d.workload = workload;
-        d.seed = options.seed;
-        d.cores = config.num_cores;
-        d.records =
-            options.warmup_instructions + options.measure_instructions;
+        d.workload = job.workload;
+        d.seed = job.options.seed;
+        d.cores = job.config.num_cores;
+        d.records = job.options.warmup_instructions +
+                    job.options.measure_instructions;
         demand.push_back(std::move(d));
-    };
-    for (const Group &group : groups) {
-        const SweepJob &first = jobs[group.jobs.front()];
-        if (group.baseline)
-            plan(first.workload, SystemConfig{}, first.options);
-        for (std::size_t i : group.jobs)
-            plan(jobs[i].workload, jobs[i].config, jobs[i].options);
     }
     const TraceCache::Plan trace_plan(TraceCache::instance(),
                                       std::move(demand));
 
-    // One unit list in group order: each group's baseline right before
-    // its jobs, so every use of a stream falls close together and its
-    // cached buffer is still resident for the last one.
-    struct Unit
-    {
-        bool baseline = false;  ///< Warm jobs[job]'s baseline instead.
-        std::size_t job = 0;
-    };
-    std::vector<Unit> units;
-    for (const Group &group : groups) {
-        if (group.baseline)
-            units.push_back({true, group.jobs.front()});
-        for (std::size_t i : group.jobs)
-            units.push_back({false, i});
-    }
-    const auto runUnit = [&](const Unit &unit) {
-        if (unit.baseline)
-            warmOne(unit.job);
-        else
-            runOne(unit.job);
-    };
-
-    // More workers than units would only idle.
+    // More workers than jobs would only idle.
     const auto threads = static_cast<unsigned>(std::min<std::size_t>(
-        num_threads > 0 ? num_threads : sweepJobCount(), units.size()));
+        num_threads > 0 ? num_threads : sweepJobCount(), order.size()));
     if (threads <= 1) {
-        for (const Unit &unit : units)
-            runUnit(unit);
+        for (std::size_t i : order)
+            runOne(i);
         return;
     }
 
     ThreadPool pool(threads);
-    for (const Unit &unit : units)
-        pool.submit([&runUnit, &unit] { runUnit(unit); });
+    for (std::size_t i : order)
+        pool.submit([&runOne, i] { runOne(i); });
     pool.wait();
 }
 
@@ -527,73 +477,42 @@ const RunResult &
 baselineFor(const std::string &workload, SystemConfig config,
             const ExperimentOptions &options)
 {
-    const std::string key = baselineKey(workload, options);
-    const std::string substrate = substrateFingerprint(config);
+    const SweepJob job = baselineJob(workload, std::move(config), options);
+    const std::string fingerprint = jobFingerprint(job);
 
     std::unique_lock<std::mutex> lock(g_baseline_mutex);
-    if (g_baseline_substrate.empty()) {
-        g_baseline_substrate = substrate;
-    } else if (g_baseline_substrate != substrate) {
-        throw std::logic_error(
-            "baselineFor: a second substrate config in one process — "
-            "the baseline cache assumes one (caches/cores/DRAM) "
-            "config per bench");
-    }
-
     for (;;) {
-        auto [it, inserted] = g_baseline_cache.try_emplace(key);
-        if (!inserted) {
-            if (it->second.ready)
-                return it->second.result;
-            // Another thread is computing this baseline; wait for it.
-            g_baseline_cv.wait(lock);
-            continue;
-        }
-
-        // This thread owns the computation. std::map nodes are stable,
-        // so `it` survives the unlocked section and concurrent inserts.
-        lock.unlock();
-        config.prefetcher = PrefetcherConfig{};
-        config.prefetcher.kind = PrefetcherKind::None;
-        RunResult result;
-        try {
-            // Baselines resume from the journal like sweep jobs do:
-            // without this, a resumed sweep would still pay full price
-            // for its reference runs.
-            const std::string journal_dir = sweepJournalDir();
-            std::string fingerprint;
-            bool journaled = false;
-            if (!journal_dir.empty()) {
-                SweepJob identity;
-                identity.workload = workload;
-                identity.config = config;
-                identity.options = options;
-                fingerprint = jobFingerprint(identity);
-                journaled =
-                    journalLoad(journal_dir, fingerprint, result);
-            }
-            if (!journaled) {
-                result = runWorkload(workload, config, options);
-                if (!journal_dir.empty()) {
-                    try {
-                        journalStore(journal_dir, fingerprint, result);
-                    } catch (const std::exception &e) {
-                        std::fprintf(stderr, "%s\n", e.what());
-                    }
-                }
-            }
-        } catch (...) {
-            lock.lock();
-            g_baseline_cache.erase(it);
-            g_baseline_cv.notify_all();
-            throw;
-        }
-        lock.lock();
-        it->second.result = std::move(result);
-        it->second.ready = true;
-        g_baseline_cv.notify_all();
-        return it->second.result;
+        const auto [it, inserted] =
+            g_baseline_cache.try_emplace(fingerprint);
+        if (inserted)
+            break;
+        if (it->second.ready)
+            return it->second.result;
+        // Another thread is computing this baseline; wait for it.
+        g_baseline_cv.wait(lock);
     }
+    // This thread computes it: resume it from the journal or run it
+    // like any sweep job.
+    lock.unlock();
+    const std::string journal_dir = sweepJournalDir();
+    RunResult result;
+    if (journal_dir.empty() ||
+        !journalLoad(journal_dir, fingerprint, result)) {
+        const JobOutcome outcome = runSingleJob(job, 0, result);
+        if (!outcome.ok()) {
+            lock.lock();
+            // A sweep may have published it meanwhile; keep that one.
+            const auto it = g_baseline_cache.find(fingerprint);
+            if (!it->second.ready)
+                g_baseline_cache.erase(it);
+            g_baseline_cv.notify_all();
+            if (outcome.exception)
+                std::rethrow_exception(outcome.exception);
+            throw std::runtime_error(outcome.error);
+        }
+        journalCommit(journal_dir, fingerprint, result);
+    }
+    return memoizeBaseline(fingerprint, std::move(result));
 }
 
 const RunResult *
@@ -634,24 +553,6 @@ runSingleJob(const SweepJob &job, std::size_t index, RunResult &result)
         result = collectResult(system, job.workload);
     };
     return runJobWithRetries(job, index, collect, {});
-}
-
-void
-primeBaselineCache(const std::string &workload,
-                   const ExperimentOptions &options,
-                   const RunResult &result)
-{
-    const std::string key = baselineKey(workload, options);
-    std::lock_guard<std::mutex> lock(g_baseline_mutex);
-    // Baseline jobs always run the default substrate (see runIndexed).
-    if (g_baseline_substrate.empty())
-        g_baseline_substrate = substrateFingerprint(SystemConfig{});
-    auto [it, inserted] = g_baseline_cache.try_emplace(key);
-    if (!inserted && it->second.ready)
-        return;
-    it->second.result = result;
-    it->second.ready = true;
-    g_baseline_cv.notify_all();
 }
 
 void
@@ -706,10 +607,40 @@ std::vector<JobOutcome>
 runSweepOutcomes(const std::vector<SweepJob> &jobs,
                  unsigned num_threads, const SweepFaultHook &fault_hook)
 {
-    std::vector<JobOutcome> outcomes(jobs.size());
-    std::vector<RunResult> results(jobs.size());
-    std::vector<std::string> fingerprints(jobs.size());
     const std::string journal_dir = sweepJournalDir();
+
+    // Each distinct baseline the jobs request joins the sweep as one
+    // more job after theirs: the no-prefetcher run of its stream on
+    // the default substrate, dispatched first in its stream's group. A
+    // baseline this process already holds is not run again.
+    std::vector<SweepJob> all = jobs;
+    std::vector<std::size_t> order;
+    {
+        std::set<StreamKey> requested, seen;
+        for (const SweepJob &job : jobs) {
+            if (job.compare_baseline)
+                requested.insert(streamOf(job));
+        }
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const StreamKey stream = streamOf(jobs[i]);
+            if (requested.count(stream) > 0 &&
+                seen.insert(stream).second) {
+                SweepJob base = baselineJob(jobs[i].workload,
+                                            SystemConfig{},
+                                            jobs[i].options);
+                if (!baselineMemoized(jobFingerprint(base))) {
+                    order.push_back(all.size());
+                    all.push_back(std::move(base));
+                }
+            }
+            order.push_back(i);
+        }
+    }
+    std::vector<JobOutcome> outcomes(all.size());
+    std::vector<RunResult> results(all.size());
+    std::vector<std::string> fingerprints(all.size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+        fingerprints[i] = jobFingerprint(all[i]);
 
     // Distributed dispatch is transparent: BINGO_DIST_WORKERS=N (local
     // worker processes) or BINGO_DIST_HOSTS (stdio workers launched
@@ -730,49 +661,47 @@ runSweepOutcomes(const std::vector<SweepJob> &jobs,
     // Resume pass: journaled jobs become Skipped outcomes up front and
     // never reach the pool.
     std::vector<std::size_t> pending;
-    pending.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (!journal_dir.empty()) {
-            fingerprints[i] = jobFingerprint(jobs[i]);
-            RunResult restored;
-            if (journalLoad(journal_dir, fingerprints[i], restored)) {
-                outcomes[i].status = JobStatus::Skipped;
-                outcomes[i].result = std::move(restored);
-                outcomes[i].attempts = 0;
-                continue;
-            }
+    pending.reserve(order.size());
+    for (std::size_t i : order) {
+        RunResult restored;
+        if (!journal_dir.empty() &&
+            journalLoad(journal_dir, fingerprints[i], restored)) {
+            outcomes[i].status = JobStatus::Skipped;
+            outcomes[i].result = std::move(restored);
+            outcomes[i].attempts = 0;
+            continue;
         }
         pending.push_back(i);
     }
 
-    if (want_dist && !pending.empty() &&
-        dist::runSweepDistributed(jobs, pending, outcomes)) {
-        reportInterrupted(outcomes);
-        return outcomes;
-    }
-    // (Falls through to in-process execution when the bingo_worker
-    // binary cannot be located — reported by the coordinator.)
-
-    // Journal inside collect — i.e. the moment each job finishes on
-    // its worker — so a sweep killed mid-flight keeps everything that
-    // completed before the kill.
-    const auto collect = [&](std::size_t i, System &system) {
-        results[i] = collectResult(system, jobs[i].workload);
-        if (journal_dir.empty())
-            return;
-        try {
-            journalStore(journal_dir, fingerprints[i], results[i]);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "%s\n", e.what());
+    // The coordinator declines, and the sweep runs in-process, when
+    // the bingo_worker binary cannot be located (it says so).
+    const bool ran_dist = want_dist && !pending.empty() &&
+                          dist::runSweepDistributed(all, pending, outcomes);
+    if (!ran_dist) {
+        // Journal inside collect — i.e. the moment each job finishes
+        // on its worker — so a sweep killed mid-flight keeps everything
+        // that completed before the kill.
+        const auto collect = [&](std::size_t i, System &system) {
+            results[i] = collectResult(system, all[i].workload);
+            journalCommit(journal_dir, fingerprints[i], results[i]);
+        };
+        runIndexed(all, pending, collect, outcomes, num_threads,
+                   fault_hook);
+        for (std::size_t i : pending) {
+            if (outcomes[i].ok())
+                outcomes[i].result = std::move(results[i]);
         }
-    };
-    runIndexed(jobs, pending, collect, outcomes, num_threads,
-               fault_hook);
-
-    for (std::size_t i : pending) {
-        if (outcomes[i].ok())
-            outcomes[i].result = std::move(results[i]);
     }
+
+    // A failed baseline stays unmemoized: the caller's own baselineFor
+    // call retries it and reports the error in context.
+    for (std::size_t i = jobs.size(); i < all.size(); ++i) {
+        if (outcomes[i].ok())
+            memoizeBaseline(fingerprints[i],
+                            std::move(outcomes[i].result));
+    }
+    outcomes.resize(jobs.size());
     reportInterrupted(outcomes);
     return outcomes;
 }

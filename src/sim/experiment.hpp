@@ -2,7 +2,9 @@
  * @file
  * Experiment runner shared by the benches: builds a System for a
  * (workload, config) pair, runs warmup + measurement, and memoizes
- * no-prefetcher baselines so each bench pays for them once.
+ * no-prefetcher baselines so each bench pays for them once. A sweep
+ * runs the baselines its jobs request (compare_baseline) as ordinary
+ * jobs of its own, and baselineFor() then reads them from the memo.
  *
  * Sweeps (the figure benches' workload x prefetcher x config grids)
  * run through runSweep(), which fans the independent simulations
@@ -62,11 +64,12 @@ RunResult runWorkload(const std::string &workload,
 
 /**
  * Memoized no-prefetcher baseline for `workload` under `config` with
- * its prefetcher disabled. Keyed by workload name and options, safe to
- * call from concurrent sweep workers (a missing entry is computed once
- * and other callers block until it is ready). The substrate (cores,
- * caches, DRAM — everything but the prefetcher) must be the same for
- * every call in a process; a mismatch throws std::logic_error.
+ * its prefetcher reset to the default, keyed by that job's
+ * jobFingerprint — so by every substrate field (cores, caches, DRAM)
+ * and the options. Safe to call from concurrent threads: a missing
+ * entry is computed once, through the journal and runSingleJob like
+ * any sweep job, while other callers block until it is ready. Throws
+ * the job's last failure when it cannot be computed.
  */
 const RunResult &baselineFor(const std::string &workload,
                              SystemConfig config,
@@ -89,9 +92,11 @@ struct SweepJob
     ExperimentOptions options;
 
     /**
-     * Also warm baselineFor(workload, SystemConfig{}, options) inside
-     * the sweep, so a bench comparing against baselines computes them
-     * in parallel too instead of serially on first use.
+     * Have runSweepOutcomes also run baselineFor(workload,
+     * SystemConfig{}, options) as a job of the sweep, so a bench
+     * comparing against baselines computes them in parallel too,
+     * instead of serially on first use. Not part of the job's
+     * identity: it changes what else the sweep runs.
      */
     bool compare_baseline = false;
 };
@@ -173,8 +178,7 @@ using SweepFaultHook =
     std::function<void(std::size_t job_index, unsigned attempt)>;
 
 /**
- * Fault-tolerant sweep: run every job (plus the distinct baselines of
- * jobs with compare_baseline set) across `num_threads` workers and
+ * Fault-tolerant sweep: run every job across `num_threads` workers and
  * return a JobOutcome per job, in job order. A job that throws is
  * retried per BINGO_RETRIES and, if it keeps failing, reported in its
  * outcome while every other job still completes. With
@@ -182,9 +186,15 @@ using SweepFaultHook =
  * completed jobs are journaled as they finish. `num_threads` 0 means
  * sweepJobCount(); 1 runs serially on the calling thread. Jobs are
  * dispatched grouped by trace stream (workload, run lengths, seed),
- * each group's baseline right before its jobs, and the trace cache
- * keeps only the streams the sweep replays more than once (see
- * workload/trace_cache.hpp).
+ * and the trace cache keeps only the streams the sweep replays more
+ * than once (see workload/trace_cache.hpp).
+ *
+ * Each distinct baseline that jobs with compare_baseline request, and
+ * that this process has not memoized yet, runs as one more job: first
+ * in its stream's group, resumed, journaled, retried, watchdogged and
+ * dispatched like the others (also to workers). Its fault-hook index
+ * follows the caller's jobs. A baseline that succeeds is memoized for
+ * baselineFor(); the returned outcomes are the caller's jobs' only.
  */
 std::vector<JobOutcome>
 runSweepOutcomes(const std::vector<SweepJob> &jobs,
@@ -198,7 +208,8 @@ runSweepOutcomes(const std::vector<SweepJob> &jobs,
  * 4). `collect` is invoked from worker threads, concurrently for
  * distinct indices; it must only touch per-index state. Outcomes carry
  * status/error/attempts only (their `result` stays empty), and the
- * journal does not apply — observer state cannot be persisted.
+ * journal does not apply — observer state cannot be persisted. Runs
+ * no baselines: compare_baseline is ignored here.
  */
 std::vector<JobOutcome> runSweepSystemsOutcomes(
     const std::vector<SweepJob> &jobs,
@@ -223,22 +234,12 @@ void runSweepSystems(
  * Run one sweep job on the calling thread with the full retry/
  * timeout/chaos/telemetry treatment of a sweep worker, snapshotting
  * the RunResult into `result` on success (Ok or Degraded). Never
- * throws. This is the execution kernel shared by the in-process runner
- * and the bingo_worker processes of the distributed runner; it touches
- * no journal — persistence is the caller's job.
+ * throws. This is the execution kernel shared by the in-process runner,
+ * baselineFor() and the bingo_worker processes of the distributed
+ * runner; it touches no journal — persistence is the caller's job.
  */
 JobOutcome runSingleJob(const SweepJob &job, std::size_t index,
                         RunResult &result);
-
-/**
- * Internal (distributed runner): seed the process-wide baseline cache
- * with a result computed by a worker process, so post-sweep
- * baselineFor()/tryBaselineFor() calls hit instead of re-simulating.
- * An already-present entry is left untouched.
- */
-void primeBaselineCache(const std::string &workload,
-                        const ExperimentOptions &options,
-                        const RunResult &result);
 
 /**
  * Internal (distributed runner): fold simulations completed by worker

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "chaos/chaos.hpp"
@@ -58,96 +59,48 @@ put(std::ostringstream &out, T value)
     out << value << '|';
 }
 
-void
-serializeConfig(std::ostringstream &out, const SystemConfig &cfg)
+/**
+ * Writes a SystemConfig's identity through visitConfigFields: enums as
+ * unsigned, doubles as their IEEE-754 bits. An optional group opens
+ * with its marker (2 for Temporal, 1 for Chaos) and is written only
+ * when it is on, so the fingerprints of configs that leave it off are
+ * byte-identical to those from before the group existed.
+ */
+struct IdentityWriter
 {
-    put(out, cfg.num_cores);
-    put(out, doubleBits(cfg.frequency_ghz));
-    put(out, cfg.seed);
-    put(out, cfg.core.width);
-    put(out, cfg.core.rob_entries);
-    put(out, cfg.core.lsq_entries);
-    put(out, cfg.core.alu_latency);
-    for (const CacheConfig *cache : {&cfg.l1d, &cfg.llc}) {
-        put(out, cache->size_bytes);
-        put(out, cache->ways);
-        put(out, cache->hit_latency);
-        put(out, cache->mshr_entries);
-        put(out, cache->prefetch_queue);
-        put(out, static_cast<unsigned>(cache->replacement));
-    }
-    put(out, cfg.dram.channels);
-    put(out, cfg.dram.banks_per_channel);
-    put(out, cfg.dram.row_size_bytes);
-    put(out, cfg.dram.controller_latency);
-    put(out, cfg.dram.t_cas);
-    put(out, cfg.dram.t_rcd);
-    put(out, cfg.dram.t_rp);
-    put(out, cfg.dram.data_transfer);
-    put(out, cfg.dram.read_queue_entries);
+    std::ostringstream &out;
 
-    const PrefetcherConfig &pf = cfg.prefetcher;
-    put(out, static_cast<unsigned>(pf.kind));
-    put(out, pf.region_blocks);
-    put(out, pf.pht_entries);
-    put(out, pf.pht_ways);
-    put(out, pf.accumulation_entries);
-    put(out, pf.filter_entries);
-    put(out, doubleBits(pf.vote_threshold));
-    put(out, pf.bop_rr_entries);
-    put(out, pf.bop_score_max);
-    put(out, pf.bop_round_max);
-    put(out, pf.bop_bad_score);
-    put(out, pf.bop_degree);
-    put(out, pf.spp_signature_entries);
-    put(out, pf.spp_pattern_entries);
-    put(out, pf.spp_filter_entries);
-    put(out, doubleBits(pf.spp_confidence_threshold));
-    put(out, pf.spp_max_depth);
-    put(out, pf.vldp_dhb_entries);
-    put(out, pf.vldp_opt_entries);
-    put(out, pf.vldp_dpt_entries);
-    put(out, pf.vldp_degree);
-    put(out, pf.ampm_map_entries);
-    put(out, pf.ampm_degree);
-    put(out, pf.stride_table_entries);
-    put(out, pf.stride_degree);
-    put(out, pf.num_events);
-
-    // Temporal/hybrid identity is appended only for the PR-8 engine
-    // kinds, so every fingerprint of an earlier kind stays
-    // byte-identical to the pre-temporal format.
-    if (pf.kind == PrefetcherKind::Isb ||
-        pf.kind == PrefetcherKind::Domino ||
-        pf.kind == PrefetcherKind::Hybrid) {
-        put(out, 2u);
-        put(out, pf.isb_training_entries);
-        put(out, pf.isb_mapping_entries);
-        put(out, pf.isb_degree);
-        put(out, pf.domino_table_entries);
-        put(out, pf.domino_degree);
-        put(out, pf.temporal_filter_entries);
-        put(out, pf.temporal_filter_bits);
-        put(out, pf.temporal_filter_threshold);
-        put(out, pf.hybrid_engines.size());
-        for (PrefetcherKind engine : pf.hybrid_engines)
-            put(out, static_cast<unsigned>(engine));
-        put(out, pf.hybrid_pc_entries);
-        put(out, pf.hybrid_tracker_entries);
-        put(out, pf.hybrid_counter_bits);
-        put(out, pf.hybrid_issue_budget);
+    bool
+    group(ConfigGroup group, bool on)
+    {
+        if (on && group != ConfigGroup::Machine)
+            put(out, group == ConfigGroup::Temporal ? 2u : 1u);
+        return on;
     }
 
-    // Chaos identity is appended only when fault injection is on, so
-    // every chaos-off fingerprint — and therefore every existing
-    // journal — is byte-identical to the pre-chaos format.
-    if (cfg.chaos.enabled) {
-        put(out, 1u);
-        put(out, cfg.chaos.seed);
-        put(out, doubleBits(cfg.chaos.rate));
-        put(out, cfg.chaos.site_mask);
+    template <typename T>
+    void
+    operator()(const T &value)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            // chaos.enabled: the Chaos group's marker already says so.
+        } else if constexpr (std::is_same_v<T, double>) {
+            put(out, doubleBits(value));
+        } else if constexpr (std::is_enum_v<T>) {
+            put(out, static_cast<unsigned>(value));
+        } else {
+            put(out, value);
+        }
     }
-}
+
+    void
+    operator()(const std::vector<PrefetcherKind> &engines)
+    {
+        put(out, engines.size());
+        for (const PrefetcherKind engine : engines)
+            (*this)(engine);
+    }
+};
 
 /** Cache counters in a fixed order shared by store and load. */
 void
@@ -231,7 +184,7 @@ jobFingerprint(const SweepJob &job)
     SystemConfig cfg = job.config;
     cfg.seed = job.options.seed;
     chaos::applyEnvChaos(cfg);
-    serializeConfig(identity, cfg);
+    visitConfigFields(cfg, IdentityWriter{identity});
     put(identity, job.options.warmup_instructions);
     put(identity, job.options.measure_instructions);
     put(identity, job.options.seed);
@@ -435,6 +388,19 @@ journalStore(const std::string &dir, const std::string &fingerprint,
                                  ": " + ec.message());
     atomicWriteRecord(journalRecordPath(dir, fingerprint),
                       journalEncode(fingerprint, result));
+}
+
+void
+journalCommit(const std::string &dir, const std::string &fingerprint,
+              const RunResult &result)
+{
+    if (dir.empty())
+        return;
+    try {
+        journalStore(dir, fingerprint, result);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "bingo: %s\n", e.what());
+    }
 }
 
 void

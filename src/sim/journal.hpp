@@ -10,8 +10,11 @@
  * The fingerprint hashes the complete identity of a job — workload,
  * every SystemConfig field (including the prefetcher knobs), and the
  * run lengths/seed — so a record can never be replayed against a
- * different experiment. Doubles are stored as their IEEE-754 bit
- * patterns, making a resumed table bit-identical, not just close.
+ * different experiment. The config fields come from visitConfigFields
+ * (common/config.hpp), the one field list the worker wire format
+ * shares. Doubles are stored as their IEEE-754 bit patterns, making a
+ * resumed table bit-identical, not just close. A sweep's baselines are
+ * jobs like any other, so they journal under their own fingerprints.
  *
  * Distributed sweeps (src/dist) write the same journal: workers send
  * each result's journalEncode bytes over the wire, and the coordinator
@@ -37,7 +40,8 @@ struct SweepJob;
 /**
  * Stable hex fingerprint of a job's full identity (workload + config +
  * options). compare_baseline is excluded: it changes what else the
- * sweep computes, not this job's result.
+ * sweep runs, not this job's result. Baselines are memoized under
+ * their job's fingerprint too.
  */
 std::string jobFingerprint(const SweepJob &job);
 
@@ -63,6 +67,15 @@ bool journalLoad(const std::string &dir, const std::string &fingerprint,
  */
 void journalStore(const std::string &dir, const std::string &fingerprint,
                   const RunResult &result);
+
+/**
+ * journalStore for the sweep runners, which call it the moment a job
+ * finishes: a no-op when `dir` is empty, and a failed write is
+ * reported on stderr instead of thrown. The result itself is safe;
+ * only a resume would re-run its job.
+ */
+void journalCommit(const std::string &dir, const std::string &fingerprint,
+                   const RunResult &result);
 
 /**
  * Delete the temp files of writes into `dir` that never finished.

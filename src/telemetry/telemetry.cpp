@@ -7,21 +7,6 @@
 namespace bingo::telemetry
 {
 
-namespace
-{
-
-/** BINGO_TELEMETRY truthiness: set and not "0" / "" / "false". */
-bool
-flagSet(const char *value)
-{
-    if (value == nullptr)
-        return false;
-    std::string v(value);
-    return !v.empty() && v != "0" && v != "false" && v != "off";
-}
-
-} // namespace
-
 Options
 optionsFromEnv()
 {
@@ -43,9 +28,7 @@ outputDir()
 bool
 requested()
 {
-    if (!outputDir().empty())
-        return true;
-    return flagSet(std::getenv("BINGO_TELEMETRY"));
+    return !outputDir().empty();
 }
 
 } // namespace bingo::telemetry

@@ -13,9 +13,8 @@
  * Knobs:
  *  - BINGO_TELEMETRY_DIR: setting it makes every sweep job collect
  *    telemetry and export JSONL / JSON / Chrome-trace files into the
- *    directory (see telemetry/export.hpp).
- *  - BINGO_TELEMETRY=1: collect without exporting (tests, or benches
- *    that read the Telemetry object off a live System).
+ *    directory (see telemetry/export.hpp). Code that reads the
+ *    Telemetry object off a live System enables it on that System.
  *  - BINGO_EPOCH_INSTRS: epoch length in retired instructions summed
  *    over cores (default 250000).
  *
@@ -50,7 +49,7 @@ Options optionsFromEnv();
 /** Export directory: BINGO_TELEMETRY_DIR ("" = no export). */
 std::string outputDir();
 
-/** Whether runs should collect telemetry (dir set or BINGO_TELEMETRY). */
+/** Whether sweep jobs collect telemetry: BINGO_TELEMETRY_DIR is set. */
 bool requested();
 
 /** Per-run collector bundle; owned by a System. */

@@ -1,7 +1,5 @@
 #include "workload/server_apps.hpp"
 
-#include <cstdlib>
-
 #include "common/hash.hpp"
 #include "workload/patterns.hpp"
 
@@ -66,10 +64,7 @@ class Em3dApp : public BurstSource
         // unlearnable; an effective rate of 1.5% reproduces the
         // paper's observable em3d behaviour (~93% coverage, largest
         // speedup of the suite, visible overprediction). See DESIGN.md.
-        // Override with BINGO_EM3D_REMOTE to explore.
-        const char *rf_env = std::getenv("BINGO_EM3D_REMOTE");
-        const double remote_fraction =
-            rf_env ? std::atof(rf_env) : 0.015;
+        constexpr double remote_fraction = 0.015;
 
         const Addr pc_base = 0x700000 + pc_tag_;
         const Addr node_addr = base_ + node_ * node_bytes;

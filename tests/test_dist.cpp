@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the distributed sweep runtime (src/dist): wire protocol
- * round-trips with the fingerprint drift guard, transparent
+ * round-trips with the fingerprint build-skew guard, transparent
  * BINGO_DIST_WORKERS dispatch with a journal byte-identical to the
  * single-process run, crash (SIGKILL) and hang recovery through
  * re-dispatch, poison-job quarantine, coordinator kill -9 and a rerun
@@ -247,6 +247,11 @@ TEST(DistProtocol, JobRoundTripsEveryConfigFieldBitExactly)
     cfg.prefetcher.kind = PrefetcherKind::Bingo;
     cfg.prefetcher.vote_threshold = 0.15;
     cfg.prefetcher.spp_confidence_threshold = 0.009;
+    // Temporal knobs travel even for a spatial kind, whose fingerprint
+    // leaves them out.
+    cfg.prefetcher.isb_degree = 3;
+    cfg.prefetcher.hybrid_engines = {PrefetcherKind::Spp,
+                                     PrefetcherKind::Domino};
     cfg.chaos.enabled = true;
     cfg.chaos.seed = 7;
     cfg.chaos.rate = 1e-4;
@@ -258,14 +263,48 @@ TEST(DistProtocol, JobRoundTripsEveryConfigFieldBitExactly)
     EXPECT_EQ(decoded.index, wire.index);
     EXPECT_EQ(decoded.fingerprint, wire.fingerprint);
     EXPECT_EQ(decoded.job.workload, wire.job.workload);
-    EXPECT_EQ(decoded.job.compare_baseline, true);
+    // The coordinator sends a sweep's baselines as jobs of their own;
+    // a worker has no use for the flag, so it does not travel.
+    EXPECT_FALSE(decoded.job.compare_baseline);
+    EXPECT_EQ(decoded.job.config.prefetcher.isb_degree, 3u);
+    EXPECT_EQ(decoded.job.config.prefetcher.hybrid_engines,
+              cfg.prefetcher.hybrid_engines);
+    EXPECT_TRUE(decoded.job.config.chaos.enabled);
 
-    // The drift guard: the fingerprint recomputed from the decoded job
-    // must equal the one computed from the original. This is the
-    // property that catches a SystemConfig field added to the
-    // fingerprint but forgotten in the wire format.
+    // The build-skew guard: the fingerprint recomputed from the
+    // decoded job must equal the one computed from the original.
     EXPECT_EQ(jobFingerprint(decoded.job), wire.fingerprint);
     EXPECT_EQ(encodeJob(decoded), encodeJob(wire));
+}
+
+TEST(DistProtocol, JobDecodeRejectsOutOfRangeEnumsAndEngineLists)
+{
+    const auto decodes = [](const SystemConfig &cfg) {
+        WireJob wire;
+        wire.fingerprint = "0123456789abcdef";
+        wire.job.workload = "em3d";
+        wire.job.config = cfg;
+        WireJob decoded;
+        return decodeJob(encodeJob(wire), decoded);
+    };
+    const SystemConfig valid;
+    EXPECT_TRUE(decodes(valid));
+
+    SystemConfig bad = valid;
+    bad.llc.replacement = static_cast<ReplacementKind>(3);
+    EXPECT_FALSE(decodes(bad));
+    bad = valid;
+    bad.prefetcher.kind = static_cast<PrefetcherKind>(14);
+    EXPECT_FALSE(decodes(bad));
+    bad = valid;
+    bad.prefetcher.hybrid_engines.push_back(
+        static_cast<PrefetcherKind>(15));
+    EXPECT_FALSE(decodes(bad));
+    bad = valid;
+    bad.prefetcher.hybrid_engines.assign(9, PrefetcherKind::Bingo);
+    EXPECT_FALSE(decodes(bad));
+    bad.prefetcher.hybrid_engines.resize(8);
+    EXPECT_TRUE(decodes(bad));
 }
 
 TEST(DistProtocol, ResultRoundTripsAndRejectsGarbage)
@@ -585,6 +624,55 @@ TEST(DistHosts, LinkLostUnderALiveWorkerIsNoPoisonStrike)
     for (std::size_t i = 0; i < outcomes.size(); ++i)
         EXPECT_EQ(outcomes[i].status, JobStatus::Ok) << "job " << i;
     EXPECT_EQ(dirContents(dist.path()), dirContents(reference.path()));
+}
+
+/** Whether process `pid` is running: neither gone nor a zombie. */
+bool
+processRunning(pid_t pid)
+{
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string line;
+    if (!std::getline(stat, line))
+        return false;
+    // The state follows the parenthesised command name.
+    const std::size_t close = line.rfind(')');
+    return close == std::string::npos || close + 2 >= line.size() ||
+           line[close + 2] != 'Z';
+}
+
+TEST(DistHosts, HungTemplateWorkerDiesWithItsShell)
+{
+    const std::vector<SweepJob> jobs = smallSweep();
+    TempDir markers("pgroup_markers");
+    // A template runs under /bin/sh, which may fork the worker instead
+    // of exec'ing it: the SIGKILL for the hang must reach the worker,
+    // not just its shell.
+    EnvVar hosts("BINGO_DIST_HOSTS", workerBinaryPath());
+    EnvVar marker_dir("BINGO_DIST_TEST_DIR", markers.path());
+    EnvVar hang("BINGO_DIST_TEST_HANG_JOB", "1:once");
+    EnvVar heartbeat("BINGO_DIST_HEARTBEAT_S", "1");
+
+    for (const JobOutcome &outcome : runSweepOutcomes(jobs))
+        EXPECT_EQ(outcome.status, JobStatus::Ok) << outcome.error;
+
+    // The marker holds the pid of the worker that hung.
+    const std::string marker = readFile(markers.path() + "/hang.1.fired");
+    ASSERT_FALSE(marker.empty());
+    const pid_t hung = static_cast<pid_t>(std::stol(marker));
+    ASSERT_GT(hung, 0);
+    struct Reaper
+    {
+        pid_t pid;
+        ~Reaper() { ::kill(pid, SIGKILL); }
+    } reaper{hung};
+    // SIGKILL is asynchronous: give the kernel a moment to finish it.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (processRunning(hung) &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_FALSE(processRunning(hung))
+        << "hung worker " << hung << " outlived its SIGKILL";
 }
 
 // --- Transport health. The report goes where telemetry goes, and

@@ -324,6 +324,85 @@ TEST(Journal, FingerprintDistinguishesJobs)
     EXPECT_EQ(jobFingerprint(other), fp);
 }
 
+/** The jobs whose fingerprints are pinned: one default job per
+ *  PrefetcherKind, a chaos-enabled job, and a Hybrid job with
+ *  non-default engines and knobs. */
+std::vector<SweepJob>
+pinnedJobs()
+{
+    std::vector<SweepJob> jobs;
+    for (unsigned k = 0; k <= static_cast<unsigned>(PrefetcherKind::Hybrid);
+         ++k) {
+        SweepJob job;
+        job.workload = "Data Serving";
+        job.config.prefetcher.kind = static_cast<PrefetcherKind>(k);
+        jobs.push_back(job);
+    }
+
+    SweepJob chaos;
+    chaos.workload = "em3d";
+    chaos.config.prefetcher.kind = PrefetcherKind::Bingo;
+    chaos.config.chaos.enabled = true;
+    chaos.config.chaos.seed = 7;
+    chaos.config.chaos.rate = 0.002;
+    chaos.options.warmup_instructions = 20000;
+    chaos.options.measure_instructions = 50000;
+    jobs.push_back(chaos);
+
+    SweepJob hybrid;
+    hybrid.workload = "Markov Chase";
+    hybrid.config.num_cores = 2;
+    hybrid.config.llc.replacement = ReplacementKind::Srrip;
+    hybrid.config.dram.read_queue_entries = 32;
+    // Distinct values, so swapping two visited fields shows.
+    hybrid.config.dram.t_cas = 50;
+    hybrid.config.dram.t_rcd = 52;
+    hybrid.config.dram.t_rp = 54;
+    PrefetcherConfig &pf = hybrid.config.prefetcher;
+    pf.kind = PrefetcherKind::Hybrid;
+    pf.hybrid_engines = {PrefetcherKind::Spp, PrefetcherKind::Isb};
+    pf.hybrid_pc_entries = 512;
+    pf.hybrid_issue_budget = 16;
+    pf.temporal_filter_threshold = 2;
+    pf.vote_threshold = 0.3;
+    hybrid.options.seed = 7;
+    jobs.push_back(hybrid);
+    return jobs;
+}
+
+/**
+ * Fingerprints name journal records, so a build that changed one would
+ * silently orphan every journal written before it. These values come
+ * from the build before fingerprints and the worker wire shared one
+ * field list (visitConfigFields); the CI oracles cannot catch a drift,
+ * since they diff journals written by one binary.
+ */
+TEST(Journal, FingerprintsArePinnedAcrossBuilds)
+{
+    const std::vector<std::string> pinned = {
+        "32b81e22759f306b8b8dc8f4270a9186",
+        "05053597bdde42ae62efb83a6e9a36c3",
+        "2db2465ff9ecd85d19b69a31d84e31b0",
+        "660c0cfda4e9e958643fd6708fc0c5f5",
+        "54346a035d46a7f7375903cb02e218f2",
+        "1cc0cb0401193fda4884cf2511a9f84f",
+        "19c2b70b35f24199654105704f08fa2c",
+        "cea951e22cfed314b39af7f67bdc2ad1",
+        "03f80f97a46fe54363fcde3a8808942e",
+        "2c9620515ce0400691afc6c53fc981eb",
+        "598a65e8ae59b487100a156b1d5a148f",
+        "2cb0eb4bf7c23c45f6c9036c5d42ecfa",
+        "ab1007ba49979fb239f5d36ca58bd40d",
+        "84514eede03a9a37ac9837222a46bd60",
+        "186f9630998399c9c969556b6fd98938",
+        "67cb52502152c23ce2ce833b7271dcb1",
+    };
+    const std::vector<SweepJob> jobs = pinnedJobs();
+    ASSERT_EQ(jobs.size(), pinned.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(jobFingerprint(jobs[i]), pinned[i]) << "job " << i;
+}
+
 TEST(Journal, StoreLoadRoundTripIsBitExact)
 {
     const TempJournalDir dir("journal_roundtrip");
@@ -507,6 +586,17 @@ TEST(Watchdog, TimeoutConvertsHungJobIntoFailure)
         << outcomes[0].error;
     // The watchdog fired long before the sim could finish 500M instrs.
     EXPECT_LT(outcomes[0].wall_seconds, 60.0);
+}
+
+TEST(Watchdog, BaselineHonoursTheJobTimeout)
+{
+    // A baseline is computed like any sweep job, watchdog included.
+    const EnvVar retries("BINGO_RETRIES", "0");
+    const EnvVar timeout("BINGO_JOB_TIMEOUT_S", "0.001");
+    ExperimentOptions options = smallOptions(/*seed=*/4242);
+    options.measure_instructions = 2 * 1000 * 1000;
+    EXPECT_EQ(tryBaselineFor("Streaming", SystemConfig{}, options),
+              nullptr);
 }
 
 TEST(Watchdog, TimeoutBeyondTheClockRangeNeverFires)

@@ -218,4 +218,55 @@ TEST(BaselineCache, KeyIncludesOptionsNotJustWorkloadName)
     EXPECT_GT(result_b.instructions, result_a.instructions);
 }
 
+TEST(BaselineCache, KeyIncludesEverySubstrateField)
+{
+    // The memo is keyed by the baseline job's fingerprint, so a config
+    // differing in a substrate field that a hand-written key once left
+    // out (the DRAM read queue) gets a baseline of its own.
+    const ExperimentOptions options = smallOptions(/*seed=*/780);
+    const RunResult &table_one =
+        baselineFor("Streaming", SystemConfig{}, options);
+
+    SystemConfig shallow;
+    shallow.dram.read_queue_entries = 1;
+    const RunResult &result = baselineFor("Streaming", shallow, options);
+    EXPECT_NE(&result, &table_one);
+    expectSameResult(result, runWorkload("Streaming", shallow, options));
+}
+
+TEST(BaselineCache, SweepRunsRequestedBaselinesAsJobsAndMemoizesThem)
+{
+    const ExperimentOptions options = smallOptions(/*seed=*/781);
+    std::vector<SweepJob> jobs;
+    for (PrefetcherKind kind :
+         {PrefetcherKind::Bingo, PrefetcherKind::Sms}) {
+        SystemConfig config;
+        config.prefetcher.kind = kind;
+        jobs.push_back({"em3d", config, options,
+                        /*compare_baseline=*/true});
+    }
+
+    const std::uint64_t runs_before = completedRuns();
+    const std::vector<JobOutcome> outcomes = runSweepOutcomes(jobs, 2);
+    // The caller's jobs only, in order; one shared baseline ran too.
+    ASSERT_EQ(outcomes.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ASSERT_EQ(outcomes[i].status, JobStatus::Ok) << outcomes[i].error;
+        EXPECT_EQ(outcomes[i].result.kind, jobs[i].config.prefetcher.kind);
+    }
+    EXPECT_EQ(completedRuns() - runs_before, jobs.size() + 1);
+
+    // baselineFor reads the sweep's baseline instead of re-running it.
+    const RunResult &base = baselineFor("em3d", SystemConfig{}, options);
+    EXPECT_EQ(completedRuns() - runs_before, jobs.size() + 1);
+    EXPECT_EQ(base.kind, PrefetcherKind::None);
+    expectSameResult(base,
+                     runWorkload("em3d", SystemConfig{}, options));
+
+    // Memoized baselines are not run again by a later sweep.
+    const std::uint64_t runs_again = completedRuns();
+    (void)runSweepOutcomes(jobs, 2);
+    EXPECT_EQ(completedRuns() - runs_again, jobs.size());
+}
+
 } // namespace

@@ -504,7 +504,6 @@ TEST(ExportTest, WriteRunTelemetryEmitsThreeFiles)
 TEST(TelemetryEnvTest, Knobs)
 {
     unsetenv("BINGO_EPOCH_INSTRS");
-    unsetenv("BINGO_TELEMETRY");
     unsetenv("BINGO_TELEMETRY_DIR");
     EXPECT_EQ(telemetry::optionsFromEnv().epoch_instructions,
               telemetry::Options{}.epoch_instructions);
@@ -521,12 +520,6 @@ TEST(TelemetryEnvTest, Knobs)
     EXPECT_EQ(telemetry::optionsFromEnv().epoch_instructions,
               telemetry::Options{}.epoch_instructions);
     unsetenv("BINGO_EPOCH_INSTRS");
-
-    setenv("BINGO_TELEMETRY", "0", 1);
-    EXPECT_FALSE(telemetry::requested());
-    setenv("BINGO_TELEMETRY", "1", 1);
-    EXPECT_TRUE(telemetry::requested());
-    unsetenv("BINGO_TELEMETRY");
 
     setenv("BINGO_TELEMETRY_DIR", "/tmp/t-out", 1);
     EXPECT_TRUE(telemetry::requested());
