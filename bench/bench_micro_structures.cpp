@@ -9,7 +9,6 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -148,22 +147,19 @@ BENCHMARK(BM_TableRecencySelect);
 void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
-    // The cache fill/completion pattern: a capture-light callback
-    // scheduled a few cycles out, drained in order. Exercises the
-    // inline-storage schedule path that replaced per-event
-    // std::function allocation.
+    // The cache fill/completion pattern: completions scheduled a few
+    // cycles out, drained in order. The records are empty, so the time
+    // is the queue's own.
     EventQueue events;
     Cycle now = 0;
-    std::uint64_t sink = 0;
     for (auto _ : state) {
-        const Cycle ready = now + 4;
-        events.schedule(ready, [&sink, ready] { sink += ready; });
-        events.schedule(now + 2, [&sink] { ++sink; });
+        events.schedule(now + 4, Completion{});
+        events.schedule(now + 2, Completion{});
         ++now;
         events.runDue(now);
+        benchmark::DoNotOptimize(events.size());
     }
     events.runDue(now + 8);
-    benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
@@ -401,60 +397,6 @@ BENCHMARK(BM_MainLoopComputeHeavy)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
-
-/**
- * The typed fill-completion dispatch against the pre-typed shape: a
- * miss's completion either invoked directly (Arg 1, one switch on the
- * tag) or routed through a freshly built std::function (Arg 0, what
- * every fill paid when FillCallback was std::function<void(Cycle)>).
- * Identical fill work on both sides; the delta is the wrapper.
- */
-void
-BM_FillCompletionTyped(benchmark::State &state)
-{
-    /// Lower level that parks each fill completion instead of
-    /// invoking it, handing it back to the bench loop.
-    class CapturingLower : public MemoryLower
-    {
-      public:
-        void
-        fetch(const MemAccess &, Cycle, FillCallback done) override
-        {
-            captured = std::move(done);
-        }
-        void writeback(Addr, CoreId, Cycle) override {}
-        Completion captured;
-    };
-
-    const bool typed = state.range(0) != 0;
-    EventQueue events;
-    CapturingLower lower;
-    CacheConfig config{64 * 1024, 8, 4, 8};
-    Cache cache("bench", config, events, lower);
-    Rng rng(17);
-    Cycle now = 0;
-    for (auto _ : state) {
-        MemAccess access;
-        access.block = blockAlign(rng.next() & 0xffffffULL);
-        access.pc = 0x1000;
-        access.type = AccessType::Load;
-        cache.access(access, now, [](Cycle) {});
-        if (lower.captured) {
-            Completion held = std::move(lower.captured);
-            if (typed) {
-                held(now + 100);
-            } else {
-                std::function<void(Cycle)> fn =
-                    [done = &held](Cycle when) { (*done)(when); };
-                fn(now + 100);
-            }
-        }
-        events.runDue(now + 101);
-        now += 1;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FillCompletionTyped)->Arg(0)->Arg(1);
 
 /**
  * Time `repeat` back-to-back runs of the loop microbench config and

@@ -205,9 +205,7 @@ Cache::access(const MemAccess &access, Cycle now, FillCallback done)
             block->dirty = true;
         if (hook_)
             hook_(access, true, now);
-        const Cycle ready = now + config_.hit_latency;
-        events_.schedule(ready,
-                         [done = std::move(done), ready] { done(ready); });
+        events_.schedule(now + config_.hit_latency, std::move(done));
         return;
     }
 
@@ -376,8 +374,7 @@ Cache::handleFill(std::size_t slot, Cycle fill_cycle)
     }
 
     for (MshrCallback &cb : entry.callbacks) {
-        // Latency accrues before the callback runs, exactly where the
-        // former capturing wrapper accounted it.
+        // Latency accrues before the completion runs.
         if (cb.track)
             stats_.demand_miss_latency += fill_cycle - cb.start;
         cb.fn(fill_cycle);
@@ -547,10 +544,7 @@ DramLower::fetch(const MemAccess &access, Cycle now, FillCallback done)
     Cycle completion = dram_.read(access.block, now);
     if (fault_hook_)
         completion = fault_hook_(access, now, completion);
-    events_.schedule(completion,
-                     [done = std::move(done), completion] {
-                         done(completion);
-                     });
+    events_.schedule(completion, std::move(done));
 }
 
 void

@@ -28,7 +28,6 @@
 #include "cache/mshr.hpp"
 #include "common/config.hpp"
 #include "common/event_queue.hpp"
-#include "common/inline_callback.hpp"
 #include "common/types.hpp"
 
 namespace bingo
@@ -120,20 +119,15 @@ struct CacheStats
 class Cache
 {
   public:
-    /**
-     * Called when a block leaves the cache (eviction). Inline-storage
-     * callback (like the event queue's): the hooks fire on hot paths
-     * and their captures are a pointer or two, so none of them should
-     * pay std::function's heap allocation and double indirection.
-     */
-    using EvictionListener = InlineFunction<void(Addr block)>;
+    /** Called when a block leaves the cache (eviction). */
+    using EvictionListener = std::function<void(Addr block)>;
 
     /**
      * Hook observing every demand access (after hit/miss is known) —
      * the attachment point for LLC prefetchers.
      */
     using AccessHook =
-        InlineFunction<void(const MemAccess &, bool hit, Cycle now)>;
+        std::function<void(const MemAccess &, bool hit, Cycle now)>;
 
     /**
      * Chaos hook consulted once per prefetch() call; returning true
@@ -142,7 +136,7 @@ class Cache
      * prefetches drain on fills as usual — the spike models transient
      * pressure at issue time, not a wedged MSHR file.
      */
-    using MshrPressureHook = InlineFunction<bool()>;
+    using MshrPressureHook = std::function<bool()>;
 
     Cache(std::string name, const CacheConfig &config, EventQueue &events,
           MemoryLower &lower);

@@ -23,7 +23,7 @@ Completion::operator()(Cycle when) const
         static_cast<Cache *>(target_)->handleFill(slot_, when);
         break;
       case Kind::Generic:
-        (*fn_)(when);
+        fn_->call(when);
         break;
       case Kind::None:
         break;

@@ -1,29 +1,25 @@
 /**
  * @file
- * Typed memory-completion record replacing the type-erased
- * std::function fill-callback chain on the simulator's hottest path.
+ * Typed memory-completion record: the one event the simulator
+ * schedules.
  *
- * Every load fill, store release and cache fill used to travel as a
- * std::function<void(Cycle)> through Cache::access -> MSHR ->
- * MemoryLower::fetch -> EventQueue, paying a type-erased indirect call
- * (and move churn) per hop. The dominant cases are known statically:
+ * Every load fill, store release and cache fill travels as a
+ * Completion through Cache::access -> MSHR -> MemoryLower::fetch ->
+ * EventQueue, which stores the record itself and fires it with the
+ * cycle it was scheduled for. The dominant cases are known statically:
  * a load fill completes an OooCore ROB slot, a store release frees an
  * LSQ entry, and a lower-level fill lands in a Cache MSHR slot. A
  * Completion carries exactly {kind, target, seq-or-slot} and
  * dispatches through one switch to the target's (inline) completion
  * method. Arbitrary callables — tests, benches, observers — still
- * work: they take the Generic kind, a heap-held std::function, which
- * keeps the old flexibility off the hot path instead of on it.
- *
- * A Completion is 32 bytes and nothrow-movable, so event-queue
- * lambdas capturing one stay on the InlineCallback inline path.
+ * work: they take the Generic kind, a heap-held holder that accepts
+ * `void(Cycle)` and `void()` callables, move-only ones included.
  */
 
 #ifndef BINGO_CACHE_COMPLETION_HPP
 #define BINGO_CACHE_COMPLETION_HPP
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -46,19 +42,24 @@ class Completion
         LoadFill,      ///< OooCore::completeLoad(seq, when).
         StoreRelease,  ///< OooCore::completeStore(when).
         CacheFill,     ///< Cache::handleFill(slot, when).
-        Generic,       ///< Heap-held std::function fallback.
+        Generic,       ///< Heap-held callable (tests, benches).
     };
 
     Completion() noexcept = default;
 
-    /** Any other callable takes the Generic fallback path. */
+    /**
+     * Any other callable takes the Generic path. A `void(Cycle)`
+     * callable receives the completion cycle; a `void()` one is
+     * simply invoked.
+     */
     template <typename Fn,
               typename = std::enable_if_t<
                   !std::is_same_v<std::decay_t<Fn>, Completion> &&
-                  std::is_invocable_v<std::decay_t<Fn> &, Cycle>>>
+                  (std::is_invocable_v<std::decay_t<Fn> &, Cycle> ||
+                   std::is_invocable_v<std::decay_t<Fn> &>)>>
     Completion(Fn &&fn)  // NOLINT(google-explicit-constructor)
         : kind_(Kind::Generic),
-          fn_(std::make_unique<std::function<void(Cycle)>>(
+          fn_(std::make_unique<Holder<std::decay_t<Fn>>>(
               std::forward<Fn>(fn)))
     {
     }
@@ -134,22 +135,40 @@ class Completion
     void operator()(Cycle when) const;
 
   private:
+    /** The Generic kind's owned callable. */
+    struct Callable
+    {
+        virtual ~Callable() = default;
+        virtual void call(Cycle when) = 0;
+    };
+
+    template <typename Fn>
+    struct Holder final : Callable
+    {
+        explicit Holder(Fn f) : fn(std::move(f)) {}
+
+        void
+        call(Cycle when) override
+        {
+            if constexpr (std::is_invocable_v<Fn &, Cycle>)
+                fn(when);
+            else
+                fn();
+        }
+
+        Fn fn;
+    };
+
     Kind kind_ = Kind::None;
     std::uint32_t slot_ = 0;
     void *target_ = nullptr;
     std::uint64_t seq_ = 0;
-    std::unique_ptr<std::function<void(Cycle)>> fn_;
+    std::unique_ptr<Callable> fn_;
 };
-
-static_assert(sizeof(Completion) <= 32,
-              "Completion must stay small enough for event-queue "
-              "lambdas capturing one to use InlineCallback's inline "
-              "storage");
 
 /**
  * Completion callback of a memory access: invoked with the cycle the
- * data arrives. Historically a std::function<void(Cycle)>; now the
- * typed Completion record, which still accepts any callable.
+ * data arrives.
  */
 using FillCallback = Completion;
 

@@ -87,17 +87,6 @@ MshrFile::release(Addr block, Cycle now)
         throw SimError(name_, now,
                        "release of block " + blockHex(block) +
                            " with no MSHR entry");
-    return releaseAt(slot, block, now);
-}
-
-MshrEntry
-MshrFile::releaseAt(std::size_t slot, Addr block, Cycle now)
-{
-    if (slot >= slot_blocks_.size() || slot_blocks_[slot] != block)
-        throw SimError(name_, now,
-                       "release of block " + blockHex(block) +
-                           " at slot " + std::to_string(slot) +
-                           " which does not hold it");
     return releaseSlot(slot, now);
 }
 

@@ -15,9 +15,9 @@
  * path performs zero heap operations.
  *
  * Structural violations (allocation past capacity, release of an
- * absent entry, releaseAt() of a mismatched slot) throw SimError with
- * the owning component's name and the simulated cycle, and hold in
- * release builds too. The duplicate-allocation scan runs only under
+ * absent entry or a free slot) throw SimError with the owning
+ * component's name and the simulated cycle, and hold in release builds
+ * too. The duplicate-allocation scan runs only under
  * BINGO_CHECK: every caller probes find() immediately beforehand, and
  * checkInvariants() sweeps the file for duplicates periodically.
  */
@@ -43,10 +43,7 @@ class Registry;
 /**
  * A completion parked on an in-flight miss. The owning cache accounts
  * `fill - start` of demand miss latency before invoking `fn` when
- * `track` is set; carrying the accounting as plain data instead of
- * wrapping `fn` in a capturing lambda keeps the common miss path free
- * of a per-callback heap allocation (the wrapper capture outgrew
- * std::function's inline buffer).
+ * `track` is set.
  */
 struct MshrCallback
 {
@@ -115,8 +112,8 @@ class MshrFile
 
     /**
      * Slot index of a live entry returned by allocate() — stable
-     * until that entry is released, so a fill callback can carry it
-     * back to releaseAt() and skip the key scan.
+     * until that entry is released, so a fill completion can carry it
+     * back to releaseSlot() and skip the key scan.
      */
     std::size_t
     slotOf(const MshrEntry &entry) const
@@ -125,19 +122,9 @@ class MshrFile
     }
 
     /**
-     * release() by slot index: the scan-free path for callers that
-     * kept slotOf() of the allocation. Still verifies the slot holds
-     * `block` (SimError otherwise), so a stale index cannot silently
-     * free someone else's miss.
-     */
-    MshrEntry releaseAt(std::size_t slot, Addr block, Cycle now = 0);
-
-    /**
      * release() by slot index alone, for the fill path: the entry
-     * carries its own block, so the callback needs to keep only the
-     * 4-byte slot (a capture small enough for std::function's inline
-     * buffer — adding the block would heap-allocate every fetch).
-     * Throws SimError when the slot is out of range or free.
+     * carries its own block, so the completion keeps only the 4-byte
+     * slot. Throws SimError when the slot is out of range or free.
      */
     MshrEntry releaseSlot(std::size_t slot, Cycle now = 0);
 

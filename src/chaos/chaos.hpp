@@ -42,7 +42,7 @@ enum class ChaosSite : unsigned
     Metadata = 2,    ///< Flip bits in prefetcher metadata entries.
     Mshr = 3,        ///< Spike MSHR occupancy seen by prefetches.
     Prefetcher = 4,  ///< Inject a fault into the prefetcher model.
-    Transport = 5,   ///< Stall/sever distributed-sweep frames.
+    Transport = 5,   ///< Sever distributed-sweep links.
 };
 
 /**

@@ -2,25 +2,22 @@
  * @file
  * Global event queue driving the cycle-stepped simulation.
  *
- * Components schedule callbacks at absolute cycles; the system loop
- * drains all events due at the current cycle before stepping the cores,
- * so memory completions are visible to the core in the cycle they
- * occur. Events scheduled for the same cycle run in insertion order.
- *
- * schedule() is a template over the callable and stores it in a
- * fixed-size inline buffer: the simulator's callbacks (a completion
- * callback plus a cycle or two of captured state) all fit, so the
- * per-event heap allocation a std::function would make on this path —
- * one per cache hit, fill and DRAM completion — never happens.
- * Oversized callables transparently fall back to std::function.
+ * Components schedule Completion records at absolute cycles; the
+ * system loop drains all events due at the current cycle before
+ * stepping the cores, so memory completions are visible to the core in
+ * the cycle they occur. Each event fires with the cycle it was
+ * scheduled for, and events scheduled for the same cycle fire in
+ * insertion order.
  *
  * Storage is a timing wheel: a ring of per-cycle FIFO buckets covering
  * the near future, with a binary heap as overflow for events beyond
  * the ring. Nearly every event in this simulator completes within a
  * few hundred cycles (hit latencies, fills, DRAM bursts), so the hot
  * path is a bucket append and an in-order drain instead of two
- * O(log n) heap sifts moving 88-byte elements. A two-level occupancy
- * bitmap makes nextEventCycle() and the post-drain rescan O(1).
+ * O(log n) heap sifts. Buckets keep their capacity across drains, so
+ * a steady-state run schedules without allocating. A two-level
+ * occupancy bitmap makes nextEventCycle() and the post-drain rescan
+ * O(1).
  */
 
 #ifndef BINGO_COMMON_EVENT_QUEUE_HPP
@@ -34,8 +31,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
-#include "common/inline_callback.hpp"
+#include "cache/completion.hpp"
 #include "common/types.hpp"
 
 namespace bingo
@@ -45,26 +41,15 @@ namespace bingo
 class EventQueue
 {
   public:
-    EventQueue()
-        : heap_(std::greater<>{}, EventVec(EventAlloc(&arena_)))
-    {
-        // Slot vectors share the queue's arena: growth to steady-state
-        // capacity cycles through the arena's free lists instead of
-        // the global allocator, and the slabs persist for the queue's
-        // lifetime.
-        slots_.reserve(kWheelSlots);
-        for (std::size_t i = 0; i < kWheelSlots; ++i)
-            slots_.emplace_back(CallbackAlloc(&arena_));
-    }
+    EventQueue() : slots_(kWheelSlots) {}
 
-    /** Schedule `fn` to run at cycle `when` (must not be in the past). */
-    template <typename Fn>
+    /** Fire `done(when)` at cycle `when` (must not be in the past). */
     void
-    schedule(Cycle when, Fn &&fn)
+    schedule(Cycle when, Completion done)
     {
         if (when >= cursor_ && when - cursor_ < kWheelSlots) {
             const std::size_t slot = when & kWheelMask;
-            slots_[slot].emplace_back(std::forward<Fn>(fn));
+            slots_[slot].push_back(std::move(done));
             bitmap_[slot >> 6] |= 1ULL << (slot & 63);
             summary_ |= 1ULL << (slot >> 6);
             ++wheel_count_;
@@ -79,8 +64,7 @@ class EventQueue
             // insert while cursor > c - kWheelSlots, and the cursor
             // never decreases — so draining heap-before-wheel within
             // a cycle preserves global FIFO order exactly.
-            heap_.push(Event{when, seq_++,
-                             InlineCallback(std::forward<Fn>(fn))});
+            heap_.push(Event{when, seq_++, std::move(done)});
         }
     }
 
@@ -89,10 +73,7 @@ class EventQueue
     runDue(Cycle now)
     {
         while (true) {
-            const Cycle heap_next =
-                heap_.empty() ? kNeverCycle : heap_.top().when;
-            const Cycle next =
-                wheel_min_ < heap_next ? wheel_min_ : heap_next;
+            const Cycle next = nextEventCycle();
             if (next > now)
                 break;
             // `<= next` rather than `== next` also retires any
@@ -100,10 +81,9 @@ class EventQueue
             while (!heap_.empty() && heap_.top().when <= next) {
                 // Moving out of the priority queue top is safe
                 // because the element is popped immediately after.
-                InlineCallback fn =
-                    std::move(const_cast<Event &>(heap_.top()).fn);
+                Event event = std::move(const_cast<Event &>(heap_.top()));
                 heap_.pop();
-                fn();
+                event.done(event.when);
             }
             if (wheel_min_ == next)
                 drainSlot(next);
@@ -141,7 +121,7 @@ class EventQueue
     {
         Cycle when;
         std::uint64_t seq;
-        InlineCallback fn;
+        Completion done;
 
         bool
         operator>(const Event &other) const
@@ -151,20 +131,18 @@ class EventQueue
         }
     };
 
-    using CallbackAlloc = ArenaAllocator<InlineCallback>;
-    using SlotVec = std::vector<InlineCallback, CallbackAlloc>;
-
     /** Fire bucket `c` in FIFO order, then recompute wheel_min_. */
     void
     drainSlot(Cycle c)
     {
-        SlotVec &slot = slots_[c & kWheelMask];
-        // Index loop: a callback scheduling back into this same cycle
+        std::vector<Completion> &slot = slots_[c & kWheelMask];
+        // Index loop: an event scheduling back into this same cycle
         // appends behind the iteration point and still fires now,
-        // matching heap semantics.
+        // matching heap semantics. Each record is moved out first
+        // because that append may reallocate the bucket.
         for (std::size_t i = 0; i < slot.size(); ++i) {
-            InlineCallback fn = std::move(slot[i]);
-            fn();
+            Completion done = std::move(slot[i]);
+            done(c);
         }
         wheel_count_ -= slot.size();
         slot.clear();
@@ -207,10 +185,7 @@ class EventQueue
         return base + ((s - s0) & kWheelMask);
     }
 
-    /// Backs the slot vectors and the overflow heap; declared first so
-    /// it outlives every container that allocates from it.
-    Arena arena_;
-    std::vector<SlotVec> slots_;
+    std::vector<std::vector<Completion>> slots_;
     std::array<std::uint64_t, kWords> bitmap_{};
     std::uint64_t summary_ = 0;
     std::size_t wheel_count_ = 0;
@@ -220,11 +195,7 @@ class EventQueue
     /// High-water mark of runDue(): wheel inserts are admitted in
     /// [cursor_, cursor_ + kWheelSlots). Never decreases.
     Cycle cursor_ = 0;
-
-    using EventAlloc = ArenaAllocator<Event>;
-    using EventVec = std::vector<Event, EventAlloc>;
-
-    std::priority_queue<Event, EventVec, std::greater<>> heap_;
+    std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
     std::uint64_t seq_ = 0;
 };
 

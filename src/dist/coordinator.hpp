@@ -15,7 +15,7 @@
  *    templates (typically ssh), run through `/bin/sh -c`;
  *  - streams jobs over the FramedLink protocol (dist/transport.hpp:
  *    typed, length-prefixed frames, and the `transport` chaos site's
- *    deterministic stalls and severs) and supervises with heartbeats
+ *    deterministic severs) and supervises with heartbeats
  *    (BINGO_DIST_HEARTBEAT_S, default 5 s of silence = dead) and a
  *    hard per-job deadline (BINGO_DIST_JOB_TIMEOUT_S = SIGKILL
  *    backstop; the inherited BINGO_JOB_TIMEOUT_S in-worker watchdog

@@ -121,64 +121,23 @@ FramedLink::writeBytes(const std::string &bytes)
     return true;
 }
 
-void
-FramedLink::flushStalled()
-{
-    const auto now = std::chrono::steady_clock::now();
-    while (!outbox_.empty() && outbox_.front().release <= now) {
-        const std::string bytes = std::move(outbox_.front().bytes);
-        outbox_.pop_front();
-        if (!writeBytes(bytes))
-            return;  // Link down; send_error_ is set.
-    }
-}
-
-bool
-FramedLink::faultedWrite(std::string bytes)
-{
-    // One fault opportunity per frame. Draw order is fixed — chance,
-    // then kind, then kind-specific values — so the schedule depends
-    // only on the frame sequence, exactly like the simulation sites.
-    if (faults_enabled_ && fault_rng_.chance(fault_rate_)) {
-        ++injected_faults_;
-        if (fault_rng_.below(2) == 0) {
-            // Stall: delay this frame (and everything after it).
-            const auto release =
-                std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(5 + fault_rng_.below(120));
-            outbox_.push_back({release, std::move(bytes)});
-            return true;
-        }
-        // Sever: the connection drops mid-conversation.
-        ::close(write_fd_);
-        write_fd_ = -1;
-        outbox_.clear();
-        send_error_ = "transport severed by fault injection "
-                      "(BINGO_CHAOS transport site)";
-        return false;
-    }
-    if (!outbox_.empty()) {
-        // A stalled frame blocks the stream: later frames queue behind
-        // it so per-direction ordering — which the lease/heartbeat
-        // reconciliation depends on — is preserved.
-        outbox_.push_back({std::chrono::steady_clock::now(),
-                           std::move(bytes)});
-        return true;
-    }
-    return writeBytes(bytes);
-}
-
 bool
 FramedLink::send(MsgType type, std::string_view payload)
 {
     if (!send_error_.empty())
         return false;
-    flushStalled();
-    if (!send_error_.empty() ||
-        !faultedWrite(encodeFrame(type, payload)))
+    // One fault opportunity per frame, so the schedule depends only on
+    // the frame sequence, exactly like the simulation sites.
+    if (faults_enabled_ && fault_rng_.chance(fault_rate_)) {
+        ++injected_faults_;
+        // Sever: the connection drops mid-conversation.
+        ::close(write_fd_);
+        write_fd_ = -1;
+        send_error_ = "transport severed by fault injection "
+                      "(BINGO_CHAOS transport site)";
         return false;
-    flushStalled();
-    return send_error_.empty();
+    }
+    return writeBytes(encodeFrame(type, payload));
 }
 
 bool
@@ -248,7 +207,6 @@ FramedLink::decodeBuffered()
 bool
 FramedLink::poll(std::vector<Frame> &out)
 {
-    flushStalled();
     while (readMore()) {
     }
     decodeBuffered();
@@ -282,7 +240,6 @@ FramedLink::close()
             *fd = -1;
         }
     }
-    outbox_.clear();
 }
 
 } // namespace dist

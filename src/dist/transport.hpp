@@ -21,13 +21,14 @@
  *
  *  - Deterministic fault injection (the `transport` chaos site of
  *    BINGO_CHAOS, see chaos::transportChaosFromEnv): at each send the
- *    injector may stall the frame (and everything behind it — ordering
- *    is preserved) for a bounded delay, or sever the link. These are
- *    the faults a real remote hop has: a slow peer and a dead one.
- *    Draws come from a per-endpoint RNG stream seeded from (chaos seed,
- *    role, slot, spawn epoch), so schedules are seed-stable yet a
- *    respawned worker does not replay its predecessor's faults (which
- *    could otherwise livelock on a first-frame sever).
+ *    injector may sever the link, the fault a dead remote hop has. (A
+ *    hung peer is the job-stall test knob's business: a frame delay
+ *    short enough to keep a sweep fast never reaches a supervision
+ *    deadline.) Draws come from a per-endpoint RNG stream seeded from
+ *    (chaos seed, role, slot, spawn epoch), so schedules are
+ *    seed-stable yet a respawned worker does not replay its
+ *    predecessor's faults (which could otherwise livelock on a
+ *    first-frame sever).
  *
  * None of this changes what any job computes: transport faults perturb
  * delivery, and the coordinator's re-dispatch/lease machinery restores
@@ -39,7 +40,6 @@
 #ifndef BINGO_DIST_TRANSPORT_HPP
 #define BINGO_DIST_TRANSPORT_HPP
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -76,8 +76,8 @@ enum class LinkRole : std::uint64_t
  * send() in the same mutex its heartbeat thread uses); reads are
  * single-threaded per link. readBlocking and send share no state, so
  * one thread may read while another sends — a worker's job loop blocks
- * in readBlocking while its heartbeat thread sends. poll also flushes
- * stalled sends; error() and close() are for when neither side runs.
+ * in readBlocking while its heartbeat thread sends. error() and
+ * close() are for when neither side runs.
  */
 class FramedLink
 {
@@ -96,11 +96,10 @@ class FramedLink
                       std::uint64_t epoch);
 
     /**
-     * Frame and write one message (flushing any stalled bytes first —
-     * a stall delays, it never reorders). Returns false once the send
-     * side is down (severed, broken pipe, write error); error()
-     * explains. A sever closes only the write fd: the peer sees EOF
-     * and tears the link down from its end.
+     * Frame and write one message. Returns false once the send side
+     * is down (severed, broken pipe, write error); error() explains.
+     * A sever closes only the write fd: the peer sees EOF and tears
+     * the link down from its end.
      */
     bool send(MsgType type, std::string_view payload);
 
@@ -120,10 +119,6 @@ class FramedLink
      */
     bool readBlocking(Frame &out);
 
-    /** Release stalled bytes whose deadline passed (poll and send do
-     *  this implicitly). */
-    void flushStalled();
-
     void close();
     /** Why the link is down: the read side's reason first. */
     const std::string &error() const
@@ -142,7 +137,6 @@ class FramedLink
     bool readMore();
     void decodeBuffered();
     bool writeBytes(const std::string &bytes);
-    bool faultedWrite(std::string bytes);
 
     // Read side.
     int read_fd_ = -1;
@@ -154,12 +148,6 @@ class FramedLink
     // Send side.
     int write_fd_ = -1;
     std::string send_error_;
-    struct Stalled
-    {
-        std::chrono::steady_clock::time_point release;
-        std::string bytes;
-    };
-    std::deque<Stalled> outbox_;
 
     bool faults_enabled_ = false;
     double fault_rate_ = 0.0;

@@ -24,7 +24,7 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::submit(InlineCallback job)
+ThreadPool::submit(std::function<void()> job)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -50,7 +50,7 @@ void
 ThreadPool::workerLoop()
 {
     for (;;) {
-        InlineCallback job;
+        std::function<void()> job;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             work_ready_.wait(lock, [this] {
@@ -75,7 +75,7 @@ ThreadPool::workerLoop()
         } catch (...) {
             error = std::current_exception();
         }
-        job.reset();
+        job = nullptr;
 
         {
             std::lock_guard<std::mutex> lock(mutex_);

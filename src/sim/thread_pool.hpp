@@ -17,11 +17,10 @@
 #include <cstddef>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "common/inline_callback.hpp"
 
 namespace bingo
 {
@@ -39,13 +38,8 @@ class ThreadPool
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /**
-     * Enqueue `job`; it runs on some worker in FIFO order. Jobs are
-     * inline-storage callables: the runner's jobs capture a lambda
-     * reference and an index, so queueing one never heap-allocates
-     * (oversized captures transparently fall back to std::function).
-     */
-    void submit(InlineCallback job);
+    /** Enqueue `job`; it runs on some worker in FIFO order. */
+    void submit(std::function<void()> job);
 
     /**
      * Block until every submitted job has finished. If any job threw,
@@ -63,7 +57,7 @@ class ThreadPool
     void workerLoop();
 
     std::vector<std::thread> workers_;
-    std::deque<InlineCallback> queue_;
+    std::deque<std::function<void()>> queue_;
     std::mutex mutex_;
     std::condition_variable work_ready_;  ///< Signals queued jobs.
     std::condition_variable all_idle_;    ///< Signals unfinished_ == 0.

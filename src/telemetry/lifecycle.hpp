@@ -28,10 +28,8 @@
 #define BINGO_TELEMETRY_LIFECYCLE_HPP
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 
-#include "common/arena.hpp"
 #include "common/types.hpp"
 #include "telemetry/histogram.hpp"
 
@@ -99,17 +97,7 @@ class PrefetchLifecycle
         bool late = false;
     };
 
-    /// Node churn here runs once per prefetch lifecycle event on the
-    /// LLC fill path; an arena with free lists turns it into pointer
-    /// pushes after the first fill wave. The arena must outlive (so
-    /// precede) the map.
-    using LiveAlloc = ArenaAllocator<std::pair<const Addr, Entry>>;
-    using LiveMap = std::unordered_map<Addr, Entry, std::hash<Addr>,
-                                       std::equal_to<Addr>, LiveAlloc>;
-
-    Arena arena_;
-    LiveMap live_{0, std::hash<Addr>{}, std::equal_to<Addr>{},
-                  LiveAlloc{&arena_}};
+    std::unordered_map<Addr, Entry> live_;
     LogHistogram issue_to_fill_;
     LogHistogram fill_to_first_use_;
     std::uint64_t timely_ = 0;

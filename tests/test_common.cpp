@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/env.hpp"
 #include "common/event_queue.hpp"
@@ -264,6 +267,110 @@ TEST(EventQueue, NextEventCycle)
     EXPECT_TRUE(q.empty());
 }
 
+/**
+ * Drives an EventQueue beside a naive reference: a set of pending
+ * (cycle, insertion number) pairs that fires in sorted order, each
+ * event receiving its own cycle.
+ */
+class QueueModel
+{
+  public:
+    // Queued events capture `this`.
+    QueueModel() = default;
+    QueueModel(const QueueModel &) = delete;
+    QueueModel &operator=(const QueueModel &) = delete;
+
+    /** Top-level insert: ahead of the cursor or, sometimes, behind. */
+    void
+    scheduleFromOutside()
+    {
+        if (cursor_ > 0 && rng_.below(6) == 0)
+            add(cursor_ - rng_.below(std::min<Cycle>(cursor_, 500) + 1));
+        else
+            add(ahead(cursor_));
+    }
+
+    /** runDue(now) on the queue; compare against the model. */
+    void
+    runDue(Cycle now)
+    {
+        fired_.clear();
+        queue_.runDue(now);
+        cursor_ = std::max(cursor_, now);
+        std::vector<std::pair<std::uint64_t, Cycle>> expected;
+        while (!pending_.empty() && pending_.begin()->first <= now) {
+            expected.emplace_back(pending_.begin()->second,
+                                  pending_.begin()->first);
+            pending_.erase(pending_.begin());
+        }
+        ASSERT_EQ(fired_, expected) << "runDue(" << now << ")";
+        ASSERT_EQ(queue_.size(), pending_.size());
+        ASSERT_EQ(queue_.nextEventCycle(), pending_.empty()
+                                               ? kNeverCycle
+                                               : pending_.begin()->first);
+    }
+
+    Cycle cursor() const { return cursor_; }
+    bool empty() const { return queue_.empty(); }
+    Cycle next() const { return queue_.nextEventCycle(); }
+    Rng &rng() { return rng_; }
+
+  private:
+    /**
+     * A cycle at or after `base` on a 64-cycle grid reaching 6000
+     * cycles out, so inserts land on both sides of the 4096-cycle ring
+     * edge and one cycle collects heap and wheel events alike.
+     */
+    Cycle
+    ahead(Cycle base)
+    {
+        return (base + rng_.below(6000) + 63) / 64 * 64;
+    }
+
+    void
+    add(Cycle when)
+    {
+        const std::uint64_t id = next_id_++;
+        pending_.emplace(when, id);
+        queue_.schedule(when, [this, id](Cycle at) { fire(id, at); });
+    }
+
+    /** A firing event may schedule a child at or after its cycle. */
+    void
+    fire(std::uint64_t id, Cycle at)
+    {
+        fired_.emplace_back(id, at);
+        const std::uint64_t kind = rng_.below(8);
+        if (kind == 0)
+            add(at);  // Same cycle, appended during the drain.
+        else if (kind == 1)
+            add(at + rng_.below(40));
+        else if (kind == 2)
+            add(ahead(at));
+    }
+
+    EventQueue queue_;
+    std::set<std::pair<Cycle, std::uint64_t>> pending_;
+    std::vector<std::pair<std::uint64_t, Cycle>> fired_;
+    Rng rng_{0x5eed};
+    std::uint64_t next_id_ = 0;
+    Cycle cursor_ = 0;
+};
+
+TEST(EventQueue, MatchesASortedReferenceAcrossTheRingEdge)
+{
+    QueueModel model;
+    for (int round = 0; round < 3000; ++round) {
+        for (std::uint64_t i = model.rng().below(4); i > 0; --i)
+            model.scheduleFromOutside();
+        const Cycle step =
+            model.rng().below(4) == 0 ? 0 : model.rng().below(700);
+        ASSERT_NO_FATAL_FAILURE(model.runDue(model.cursor() + step));
+    }
+    while (!model.empty())
+        ASSERT_NO_FATAL_FAILURE(model.runDue(model.next()));
+}
+
 TEST(PeriodicGate, MatchesMaskTestUnderUnitStride)
 {
     // Stepping one cycle at a time, crossed() must fire on exactly the
@@ -383,21 +490,27 @@ TEST(Env, SecondsAcceptsOnlyWholeFiniteNonNegativeDecimals)
 TEST(Env, RejectedValueIsNamedOnStderrOnce)
 {
     // A typo such as 30s must not turn a watchdog off unnoticed.
-    ::setenv("BINGO_TEST_ENV_TYPO", "30s", 1);
-    ::setenv("BINGO_TEST_ENV_EMPTY", "", 1);
+    // Warned names are remembered process-wide, so each run (under
+    // --gtest_repeat) checks a variable of its own.
+    static unsigned run = 0;
+    const std::string typo = "BINGO_TEST_ENV_TYPO_" + std::to_string(run);
+    const std::string empty = "BINGO_TEST_ENV_EMPTY_" + std::to_string(run);
+    ++run;
+    ::setenv(typo.c_str(), "30s", 1);
+    ::setenv(empty.c_str(), "", 1);
     testing::internal::CaptureStderr();
-    EXPECT_EQ(envSeconds("BINGO_TEST_ENV_TYPO", 0.0), 0.0);
-    EXPECT_EQ(envSeconds("BINGO_TEST_ENV_TYPO", 0.0), 0.0);
-    EXPECT_EQ(envU64("BINGO_TEST_ENV_EMPTY", 3), 3u);
+    EXPECT_EQ(envSeconds(typo.c_str(), 0.0), 0.0);
+    EXPECT_EQ(envSeconds(typo.c_str(), 0.0), 0.0);
+    EXPECT_EQ(envU64(empty.c_str(), 3), 3u);
     const std::string err = testing::internal::GetCapturedStderr();
-    ::unsetenv("BINGO_TEST_ENV_TYPO");
-    ::unsetenv("BINGO_TEST_ENV_EMPTY");
+    ::unsetenv(typo.c_str());
+    ::unsetenv(empty.c_str());
 
-    const std::string named = "BINGO_TEST_ENV_TYPO=\"30s\"";
+    const std::string named = typo + "=\"30s\"";
     const std::size_t first = err.find(named);
     ASSERT_NE(first, std::string::npos) << err;
     EXPECT_EQ(err.find(named, first + 1), std::string::npos) << err;
-    EXPECT_EQ(err.find("BINGO_TEST_ENV_EMPTY"), std::string::npos) << err;
+    EXPECT_EQ(err.find(empty), std::string::npos) << err;
 }
 
 } // namespace

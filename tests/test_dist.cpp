@@ -697,8 +697,8 @@ TEST(DistSweep, TransportHealthIsWrittenOnlyWhereTelemetryGoes)
 }
 
 // --- Transport chaos. Deterministic fault injection on the real byte
-// stream: stall and sever. BINGO_CHAOS is parsed once per process, so
-// the sweep runs in a freshly exec'd driver.
+// stream: every fault severs a link. BINGO_CHAOS is parsed once per
+// process, so the sweep runs in a freshly exec'd driver.
 
 TEST(DistDriver, RunsTheSmallSweepWhenAsked)
 {
@@ -725,7 +725,7 @@ TEST(DistChaos, ChaoticStdioSweepCommitsEveryJobExactlyOnce)
           workerBinaryPath() + ";" + workerBinaryPath()},
          {"BINGO_TELEMETRY_DIR", telemetry.path()}}));
 
-    // Frames were stalled and severed in transit — yet the journal is
+    // Links were severed in transit — yet the journal is
     // byte-identical to the single-process run: no job lost, none
     // double-committed.
     EXPECT_EQ(dirContents(dist.path()), dirContents(reference.path()));

@@ -4,7 +4,7 @@
  * round-trips over real pipes, a short tail before EOF that is never
  * delivered, a malformed header that ends the link with a typed error
  * instead of a resync, and seed-stable deterministic fault injection
- * (stall and sever).
+ * (every fault severs the link).
  *
  * Malformed input in these tests is real bytes written into the pipe,
  * not mocked failures.
@@ -182,67 +182,68 @@ testPlan(std::uint64_t seed, double rate)
     return plan;
 }
 
-/** One injected fault: the frame it hit and whether it severed the
- *  link (otherwise it stalled the frame). */
-using FaultEvent = std::pair<unsigned, bool>;
-
-/** Send `count` frames through a faulted link and return the fault
- *  schedule it drew, frame by frame. A sever ends the run: it is part
- *  of the schedule. */
-std::vector<FaultEvent>
-faultedRun(std::uint64_t seed, double rate, unsigned count,
+/**
+ * Send up to `count` heartbeats through a link faulted as worker
+ * `slot` of spawn `epoch` and return the index of the frame whose send
+ * severed it (`count` when none did). Every injected fault is a sever
+ * and ends the link. `delivered` receives what the peer got.
+ */
+unsigned
+firstSever(std::uint64_t seed, double rate, unsigned count,
+           std::uint64_t slot, std::uint64_t epoch,
            std::vector<Frame> *delivered = nullptr)
 {
     LinkPair pair = makePair();
     pair.sender->enableFaults(testPlan(seed, rate), LinkRole::Worker,
-                              /*slot=*/3, /*epoch=*/1);
-    std::vector<FaultEvent> schedule;
-    for (unsigned i = 0; i < count; ++i) {
-        const std::uint64_t faults = pair.sender->injectedFaults();
-        const bool sent =
-            pair.sender->send(MsgType::Heartbeat, "hb " + std::to_string(i));
-        if (pair.sender->injectedFaults() != faults)
-            schedule.emplace_back(i, !sent);
-        if (!sent)
-            break;
-    }
-    // Release any still-stalled tail so the receiver sees everything
-    // the schedule allowed through.
-    for (int spin = 0; spin < 300; ++spin) {
-        pair.sender->flushStalled();
-        ::usleep(1000);
-    }
+                              slot, epoch);
+    unsigned sent = 0;
+    while (sent < count &&
+           pair.sender->send(MsgType::Heartbeat,
+                             "hb " + std::to_string(sent)))
+        ++sent;
+    EXPECT_EQ(pair.sender->injectedFaults(), sent < count ? 1u : 0u);
     std::vector<Frame> frames = drain(*pair.receiver, count);
     if (delivered != nullptr)
         *delivered = std::move(frames);
-    return schedule;
+    return sent;
+}
+
+/** First-sever frames of one seed over four slots and two epochs. */
+std::vector<unsigned>
+severSchedule(std::uint64_t seed)
+{
+    std::vector<unsigned> frames;
+    for (std::uint64_t slot = 0; slot < 4; ++slot) {
+        for (std::uint64_t epoch = 0; epoch < 2; ++epoch)
+            frames.push_back(firstSever(seed, 0.35, 30, slot, epoch));
+    }
+    return frames;
 }
 
 TEST(TransportChaos, FaultScheduleIsSeedStable)
 {
-    const std::vector<FaultEvent> a = faultedRun(0xfeed, 0.35, 30);
-    EXPECT_EQ(a, faultedRun(0xfeed, 0.35, 30));
-    EXPECT_FALSE(a.empty()) << "rate 0.35 over 30 frames should fire "
-                               "at least once";
+    const std::vector<unsigned> a = severSchedule(0xfeed);
+    EXPECT_EQ(a, severSchedule(0xfeed));
+    EXPECT_NE(a, std::vector<unsigned>(a.size(), 30u))
+        << "rate 0.35 over 30 frames should sever at least once";
 }
 
 TEST(TransportChaos, DifferentSeedsGiveDifferentSchedules)
 {
-    // Identical per-frame schedules would mean the seed is ignored.
-    EXPECT_NE(faultedRun(1, 0.35, 30), faultedRun(2, 0.35, 30));
+    // Identical first-sever frames on every stream would mean the
+    // seed is ignored.
+    EXPECT_NE(severSchedule(1), severSchedule(2));
 }
 
 TEST(TransportChaos, DeliveredFramesAreAnInOrderPrefixOfWhatWasSent)
 {
-    // Stalls delay and severs cut, so whatever the injector does, the
-    // receiver sees frames 0, 1, 2, ... with none skipped, reordered
-    // or repeated.
+    // A sever cuts the stream, so the receiver sees frames 0, 1, 2, ...
+    // up to the severed one, with none skipped, reordered or
+    // repeated.
     std::vector<Frame> delivered;
-    const std::vector<FaultEvent> schedule =
-        faultedRun(0xabcd, 0.4, 40, &delivered);
-    ASSERT_FALSE(schedule.empty());
-    // Every frame before the first fault went straight out.
-    EXPECT_GE(delivered.size(), schedule.front().first);
+    const unsigned severed = firstSever(0xabcd, 0.4, 40, 3, 1, &delivered);
+    ASSERT_LT(severed, 40u);
+    ASSERT_EQ(delivered.size(), severed);
     for (std::size_t i = 0; i < delivered.size(); ++i)
         EXPECT_EQ(delivered[i].payload, "hb " + std::to_string(i));
 }
