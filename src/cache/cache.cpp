@@ -62,12 +62,6 @@ Cache::contains(Addr block) const
     return wayOf(block) != kNoWay;
 }
 
-bool
-Cache::containsOrInFlight(Addr block)
-{
-    return contains(block) || mshrs_.find(block) != nullptr;
-}
-
 std::uint64_t
 Cache::residentBlocks() const
 {

@@ -157,9 +157,6 @@ class Cache
     /** Whether `block` is currently resident. */
     bool contains(Addr block) const;
 
-    /** Whether `block` is resident or being fetched. */
-    bool containsOrInFlight(Addr block);
-
     void setAccessHook(AccessHook hook) { hook_ = std::move(hook); }
     void setMshrPressureHook(MshrPressureHook hook)
     {

@@ -21,6 +21,8 @@
 #ifndef BINGO_CHAOS_CHAOS_HPP
 #define BINGO_CHAOS_CHAOS_HPP
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -188,8 +190,9 @@ class ChaosEngine
  * space and the translation layer's own guards stay exercised). The
  * instruction type is never touched — the stream stays well-formed;
  * the corruption models wrong *data*, not an undecodable trace.
- * next() and nextBatch() draw identically per record, so batching
- * cores and single-stepping tests see the same schedule.
+ * Draws happen once per record, in stream order, whatever window
+ * sizes the reader asks for, so the schedule depends only on the
+ * record sequence.
  */
 class ChaosTraceSource : public TraceSource
 {
@@ -201,20 +204,15 @@ class ChaosTraceSource : public TraceSource
     {
     }
 
-    TraceRecord
-    next() override
+    /** Fills its own window from the inner source and corrupts it. */
+    const TraceRecord *
+    borrowBatch(std::size_t want, std::size_t &got) override
     {
-        TraceRecord rec = inner_->next();
-        maybeCorrupt(rec);
-        return rec;
-    }
-
-    void
-    nextBatch(TraceRecord *out, std::size_t count) override
-    {
-        inner_->nextBatch(out, count);
-        for (std::size_t i = 0; i < count; ++i)
-            maybeCorrupt(out[i]);
+        got = std::min(want, window_.size());
+        inner_->nextBatch(window_.data(), got);
+        for (std::size_t i = 0; i < got; ++i)
+            maybeCorrupt(window_[i]);
+        return window_.data();
     }
 
   private:
@@ -236,6 +234,7 @@ class ChaosTraceSource : public TraceSource
     Rng rng_;
     double rate_;
     std::uint64_t *counter_;
+    std::array<TraceRecord, kWindowRecords> window_;
 };
 
 } // namespace bingo::chaos

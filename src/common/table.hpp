@@ -67,7 +67,6 @@ class SetAssocTable
     }
 
     std::size_t numSets() const { return sets_; }
-    std::size_t numWays() const { return ways_; }
     std::size_t capacity() const { return sets_ * ways_; }
 
     /** Map an index hash to a set number. */

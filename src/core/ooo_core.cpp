@@ -1,5 +1,6 @@
 #include "core/ooo_core.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/sim_check.hpp"
@@ -102,64 +103,47 @@ void
 OooCore::dispatch(Cycle now)
 {
     unsigned dispatched = 0;
-    bool noted_rob_full = false;
-    bool noted_lsq_full = false;
-
     while (dispatched < config_.width) {
-        if (rob_tail_ - rob_head_ >= rob_capacity_) {
-            if (!noted_rob_full) {
-                ++stats_.rob_full_cycles;
-                noted_rob_full = true;
-            }
+        const std::uint64_t rob_space =
+            rob_capacity_ - (rob_tail_ - rob_head_);
+        if (rob_space == 0) {
+            ++stats_.rob_full_cycles;
             break;
         }
         if (!record_held_) {
             if (fetch_pos_ == fetch_end_) {
                 std::size_t got = 0;
-                if (const TraceRecord *run =
-                        trace_.borrowBatch(kFetchBatch, got)) {
-                    fetch_data_ = run;
-                    fetch_runs_ = trace_.borrowRuns();
-                    fetch_end_ = static_cast<std::uint32_t>(got);
-                } else {
-                    trace_.nextBatch(fetch_buffer_.data(),
-                                     kFetchBatch);
-                    fetch_data_ = fetch_buffer_.data();
-                    fetch_runs_ = nullptr;
-                    fetch_end_ = kFetchBatch;
-                }
+                fetch_data_ = trace_.borrowBatch(
+                    TraceSource::kWindowRecords, got);
                 fetch_pos_ = 0;
+                fetch_end_ = static_cast<std::uint32_t>(got);
             }
-            // Fast path: a precomputed run of non-memory records
-            // collapses into one pass — per slot only the completion
-            // cycle is written (plus the branch count). Equivalent to
-            // the per-record path below: ALU and branch latency are
-            // the same, non-memory dispatch touches neither the LSQ
-            // nor the dependent-load state, and a slot's `seq` and
-            // `deferred` fields are only ever read for load slots,
-            // which always (re)write them at dispatch. The run is
-            // re-clipped every iteration so the ROB-full and width
-            // checks fire exactly where per-record dispatch would
-            // note them.
-            if (fetch_runs_ != nullptr &&
-                fetch_runs_[fetch_pos_] > 0) {
-                std::uint64_t take = fetch_runs_[fetch_pos_];
-                const std::uint64_t rob_space =
-                    rob_capacity_ - (rob_tail_ - rob_head_);
-                if (take > config_.width - dispatched)
-                    take = config_.width - dispatched;
-                if (take > fetch_end_ - fetch_pos_)
-                    take = fetch_end_ - fetch_pos_;
-                if (take > rob_space)
-                    take = rob_space;
-                const Cycle done = now + config_.alu_latency;
-                const TraceRecord *recs = fetch_data_ + fetch_pos_;
-                std::uint64_t branches = 0;
-                for (std::uint64_t i = 0; i < take; ++i) {
-                    rob_[(rob_tail_ + i) & rob_mask_].done = done;
-                    branches +=
-                        recs[i].type == InstrType::Branch ? 1 : 0;
-                }
+            // Non-memory records dispatch as a run: per slot only the
+            // completion cycle is written (plus the branch count).
+            // That is all they need: ALU and branch latency are the
+            // same, they touch neither the LSQ nor the dependent-load
+            // state, and a slot's `seq` and `deferred` fields are only
+            // read for load slots, which always (re)write them at
+            // dispatch. The scan stops at the dispatch width, the
+            // window end and the free ROB slots; the loop then notes a
+            // full ROB or fetches the next window, so how the trace is
+            // cut into windows never shows in the result.
+            std::uint64_t limit = config_.width - dispatched;
+            limit = std::min<std::uint64_t>(limit,
+                                            fetch_end_ - fetch_pos_);
+            limit = std::min(limit, rob_space);
+            const TraceRecord *recs = fetch_data_ + fetch_pos_;
+            const Cycle done = now + config_.alu_latency;
+            std::uint64_t take = 0;
+            std::uint64_t branches = 0;
+            for (; take < limit; ++take) {
+                const InstrType type = recs[take].type;
+                if (type == InstrType::Load || type == InstrType::Store)
+                    break;
+                rob_[(rob_tail_ + take) & rob_mask_].done = done;
+                branches += type == InstrType::Branch ? 1 : 0;
+            }
+            if (take > 0) {
                 rob_tail_ += take;
                 stats_.branches += branches;
                 fetch_pos_ += static_cast<std::uint32_t>(take);
@@ -168,39 +152,24 @@ OooCore::dispatch(Cycle now)
             }
             record_held_ = true;
         }
-        const TraceRecord &rec = fetch_data_[fetch_pos_];
-
-        const bool is_mem = rec.type == InstrType::Load ||
-                            rec.type == InstrType::Store;
-        if (is_mem && lsq_used_ >= config_.lsq_entries) {
-            if (!noted_lsq_full) {
-                ++stats_.lsq_full_cycles;
-                noted_lsq_full = true;
-            }
+        // The record at fetch_pos_ is a load or a store.
+        if (lsq_used_ >= config_.lsq_entries) {
+            ++stats_.lsq_full_cycles;
             break;
         }
-
+        const TraceRecord &rec = fetch_data_[fetch_pos_];
         const std::uint64_t seq = rob_tail_++;
         RobSlot &slot = rob_[seq & rob_mask_];
         slot.seq = seq;
-        slot.done = kNeverCycle;
-
-        switch (rec.type) {
-          case InstrType::Alu:
-            slot.done = now + config_.alu_latency;
-            break;
-          case InstrType::Branch:
-            slot.done = now + config_.alu_latency;
-            ++stats_.branches;
-            break;
-          case InstrType::Load: {
+        ++lsq_used_;
+        MemAccess access;
+        access.block = blockAlign(rec.addr);
+        access.pc = rec.pc;
+        access.core = id_;
+        if (rec.type == InstrType::Load) {
             ++stats_.loads;
-            ++lsq_used_;
+            slot.done = kNeverCycle;
             slot.deferred.clear();
-            MemAccess access;
-            access.block = blockAlign(rec.addr);
-            access.pc = rec.pc;
-            access.core = id_;
             access.type = AccessType::Load;
             // A dependent load dereferences the previous load's data:
             // hold it until that load completes.
@@ -217,23 +186,13 @@ OooCore::dispatch(Cycle now)
                 issueLoad(seq, access, now);
             last_load_seq_ = seq;
             has_last_load_ = true;
-            break;
-          }
-          case InstrType::Store: {
+        } else {
             ++stats_.stores;
-            ++lsq_used_;
             // Stores retire without waiting for the write to complete;
             // the LSQ entry models store-buffer pressure until then.
             slot.done = now + config_.alu_latency;
-            MemAccess access;
-            access.block = blockAlign(rec.addr);
-            access.pc = rec.pc;
-            access.core = id_;
             access.type = AccessType::Store;
-            l1d_.access(access, now,
-                        Completion::storeRelease(this));
-            break;
-          }
+            l1d_.access(access, now, Completion::storeRelease(this));
         }
         record_held_ = false;
         ++fetch_pos_;

@@ -15,7 +15,8 @@
 #ifndef BINGO_CORE_OOO_CORE_HPP
 #define BINGO_CORE_OOO_CORE_HPP
 
-#include <array>
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -29,62 +30,58 @@
 namespace bingo
 {
 
-/** Pull-based instruction stream feeding a core. */
+/**
+ * Pull-based instruction stream feeding a core.
+ *
+ * borrowBatch() is the one read primitive: the source lends a window
+ * of its next records. Sources that own their records (generator
+ * bursts, interleaved sub-streams, a loaded trace file, a trace-cache
+ * chunk) lend that storage in place. Layered sources that rewrite
+ * records (address translation, chaos corruption) fill a window of
+ * their own from the inner source and transform it there; filling it
+ * whole hands a core reading a private generator 64-record windows
+ * rather than one per generator burst. next() and nextBatch() are
+ * plain copies through borrowBatch().
+ */
 class TraceSource
 {
   public:
+    /// Records a core asks for per fetch, and the size of the window
+    /// a transforming layer copies into.
+    static constexpr std::size_t kWindowRecords = 64;
+
     virtual ~TraceSource() = default;
 
-    /** Produce the next instruction of this core's trace. */
-    virtual TraceRecord next() = 0;
-
     /**
-     * Fill `out` with the next `count` records — exactly the sequence
-     * `count` next() calls would produce (sources are infinite:
-     * generators run forever and file replay wraps). The core pulls
-     * its instruction stream through this in blocks so the per-record
-     * virtual hop and copy chain is paid once per block, not once per
-     * instruction; layered sources should override it and forward in
-     * bulk for the same reason.
+     * Lend the next 1..`want` records (`want` >= 1) and advance the
+     * stream past them, with `got` receiving the count. The window is
+     * valid until the next call on this source. Sources are infinite
+     * (generators run forever and file replay wraps), so a window is
+     * never empty.
      */
-    virtual void
+    virtual const TraceRecord *borrowBatch(std::size_t want,
+                                           std::size_t &got) = 0;
+
+    /** Copy of the next record. */
+    TraceRecord
+    next()
+    {
+        std::size_t got = 0;
+        return *borrowBatch(1, got);
+    }
+
+    /** Copy the next `count` records into `out`. */
+    void
     nextBatch(TraceRecord *out, std::size_t count)
     {
-        for (std::size_t i = 0; i < count; ++i)
-            out[i] = next();
+        while (count > 0) {
+            std::size_t got = 0;
+            const TraceRecord *window = borrowBatch(count, got);
+            std::copy_n(window, got, out);
+            out += got;
+            count -= got;
+        }
     }
-
-    /**
-     * Zero-copy variant of nextBatch(): return a pointer to the next
-     * run of up to `want` records in source-owned storage and advance
-     * the stream past them, with `got` receiving the run length
-     * (1 <= got <= want). The run must stay valid until the source is
-     * destroyed. Sources without stable internal storage return
-     * nullptr (got = 0) and the caller falls back to nextBatch();
-     * layered sources that transform records must not forward a
-     * borrow from their inner source.
-     */
-    virtual const TraceRecord *
-    borrowBatch(std::size_t want, std::size_t &got)
-    {
-        (void)want;
-        got = 0;
-        return nullptr;
-    }
-
-    /**
-     * Non-memory run-length sidecar of the window the last
-     * borrowBatch() call returned, aligned with it: entry i is the
-     * number of consecutive non-load/store records starting at window
-     * index i (0 when record i is a load or store), saturated at 255
-     * and possibly clipped earlier — a conservative lower bound. The
-     * dispatch loop uses it to consume compute bursts in one step
-     * instead of record by record. Sources without precomputed runs
-     * (including every layered/transforming source) return nullptr
-     * and the core falls back to per-record dispatch, which is
-     * bit-identical by construction.
-     */
-    virtual const std::uint8_t *borrowRuns() const { return nullptr; }
 };
 
 /** Counters exported by a core. */
@@ -124,16 +121,6 @@ class OooCore
      * caller.
      */
     Cycle nextWakeCycle(Cycle now) const;
-
-    /**
-     * True when step(now + 1) could retire or dispatch, i.e. the run
-     * loop must not attempt a jump. Exactly nextWakeCycle(now) ==
-     * now + 1, but cheaper on the common dispatchable path.
-     */
-    bool dispatchableNext(Cycle now) const
-    {
-        return nextWakeCycle(now) == now + 1;
-    }
 
     /**
      * Account for `cycles` skipped stall cycles ending at cycle
@@ -242,9 +229,6 @@ class OooCore
     Cache &l1d_;
     TraceSource &trace_;
 
-    /// Records read ahead from the trace in one nextBatch() call.
-    static constexpr std::size_t kFetchBatch = 64;
-
     /// ROB storage, sized to the next power of two above the
     /// configured capacity so slot indexing is a mask instead of a
     /// modulo (three hot paths index per instruction). Occupancy is
@@ -258,20 +242,13 @@ class OooCore
     unsigned lsq_used_ = 0;
     std::uint64_t last_load_seq_ = 0;
     bool has_last_load_ = false;
-    std::array<TraceRecord, kFetchBatch> fetch_buffer_;
-    /// Current fetch window: either fetch_buffer_.data() (records
-    /// copied in via nextBatch) or a run borrowed zero-copy from the
-    /// source's own storage (borrowBatch).
+    /// Fetch window the trace lent on the last borrowBatch() call;
+    /// valid until the next one.
     const TraceRecord *fetch_data_ = nullptr;
-    /// Run-length sidecar aligned with fetch_data_ when the source
-    /// provides one (borrowRuns()), nullptr otherwise. Lets dispatch
-    /// collapse a burst of non-memory records into one pass.
-    const std::uint8_t *fetch_runs_ = nullptr;
     std::uint32_t fetch_pos_ = 0;  ///< Next unconsumed window slot.
     std::uint32_t fetch_end_ = 0;  ///< One past the last valid slot.
-    /// Dispatch pulled fetch_buffer_[fetch_pos_] but could not place
-    /// it (always a memory record blocked on a full LSQ) — the exact
-    /// analogue of the former held "stalled record".
+    /// Dispatch reached fetch_data_[fetch_pos_] but could not place
+    /// it: always a memory record blocked on a full LSQ.
     bool record_held_ = false;
 
     /// A completion callback arrived since the last step (see

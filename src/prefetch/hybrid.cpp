@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 
 #include "common/hash.hpp"
 #include "telemetry/registry.hpp"
@@ -63,15 +62,6 @@ HybridPrefetcher::applyVerdict(const TrackEntry &tracked,
         if (entry == nullptr)
             continue;  // The PC's counters were evicted meanwhile.
         std::uint8_t &conf = entry->data.conf[i];
-#ifdef BINGO_HYBRID_VERDICT_TRACE
-        {
-            char buf[64];
-            std::snprintf(buf, sizeof buf, "vtrace.%llx.e%zu.%s",
-                          (unsigned long long)tracked.pc, i,
-                          telemetry::verdictName(verdict));
-            stats_.add(buf);
-        }
-#endif
         // Confidence is an accuracy ratio over saturating verdict
         // counts, not a saturating up/down walk — a walk has only cmax
         // points of headroom, so one burst of unused verdicts would
@@ -285,37 +275,6 @@ HybridPrefetcher::perturbMetadata(Rng &rng)
         entry.data.conf[bit_draw % engines_.size()];
     conf ^= static_cast<std::uint8_t>(
         1U << ((bit_draw >> 8) % counter_bits_));
-}
-
-std::vector<std::vector<std::size_t>>
-HybridPrefetcher::confidenceHistogram() const
-{
-    std::vector<std::vector<std::size_t>> hist(
-        engines_.size(), std::vector<std::size_t>(cmax_ + 1, 0));
-    for (std::size_t i = 0; i < pc_table_.capacity(); ++i) {
-        const auto &entry = pc_table_.entryAt(i);
-        if (!entry.valid)
-            continue;
-        for (std::size_t e = 0; e < engines_.size(); ++e)
-            ++hist[e][entry.data.conf[e]];
-    }
-    return hist;
-}
-
-std::vector<std::pair<Addr, std::vector<unsigned>>>
-HybridPrefetcher::pcSnapshot() const
-{
-    std::vector<std::pair<Addr, std::vector<unsigned>>> out;
-    for (std::size_t i = 0; i < pc_table_.capacity(); ++i) {
-        const auto &entry = pc_table_.entryAt(i);
-        if (!entry.valid)
-            continue;
-        std::vector<unsigned> conf;
-        for (std::size_t e = 0; e < engines_.size(); ++e)
-            conf.push_back(entry.data.conf[e]);
-        out.emplace_back(entry.tag, std::move(conf));
-    }
-    return out;
 }
 
 void

@@ -80,17 +80,6 @@ class HybridPrefetcher : public Prefetcher
         return tracker_.occupancy();
     }
 
-    /**
-     * Confidence histogram over the resident PC entries:
-     * result[engine][conf] = PCs whose counter sits at `conf`
-     * (tests/diagnostics).
-     */
-    std::vector<std::vector<std::size_t>> confidenceHistogram() const;
-
-    /** Resident (pc, per-engine confidence) pairs (diagnostics). */
-    std::vector<std::pair<Addr, std::vector<unsigned>>>
-    pcSnapshot() const;
-
   private:
     static constexpr std::size_t kMaxEngines = 8;
     static constexpr std::size_t kWays = 8;

@@ -41,10 +41,6 @@ class IsbPrefetcher : public Prefetcher
     std::string name() const override { return "ISB"; }
 
     /** Occupancies (tests/diagnostics). */
-    std::size_t trainingOccupancy() const
-    {
-        return training_.occupancy();
-    }
     std::size_t psOccupancy() const { return ps_.occupancy(); }
     std::size_t spOccupancy() const { return sp_.occupancy(); }
     std::size_t filterOccupancy() const

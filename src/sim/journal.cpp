@@ -6,15 +6,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "chaos/chaos.hpp"
 #include "sim/experiment.hpp"
+#include "telemetry/export.hpp"
 
 namespace bingo
 {
@@ -342,40 +341,6 @@ journalEncode(const std::string &fingerprint, const RunResult &result)
     return out.str();
 }
 
-namespace
-{
-
-/** Write `content` to `path` via temp + rename; throws on failure. */
-void
-atomicWriteRecord(const std::string &path, const std::string &content)
-{
-    namespace fs = std::filesystem;
-    const std::string temp_path =
-        path + ".tmp." +
-        std::to_string(std::hash<std::thread::id>{}(
-                           std::this_thread::get_id()) &
-                       0xFFFFFF);
-    {
-        std::ofstream out(temp_path, std::ios::trunc | std::ios::binary);
-        if (!out)
-            throw std::runtime_error("journal: cannot write " +
-                                     temp_path);
-        out << content;
-        out.flush();
-        if (!out)
-            throw std::runtime_error("journal: write failed for " +
-                                     temp_path);
-    }
-    std::error_code ec;
-    fs::rename(temp_path, path, ec);
-    if (ec) {
-        fs::remove(temp_path, ec);
-        throw std::runtime_error("journal: cannot rename into " + path);
-    }
-}
-
-} // namespace
-
 void
 journalStore(const std::string &dir, const std::string &fingerprint,
              const RunResult &result)
@@ -386,8 +351,8 @@ journalStore(const std::string &dir, const std::string &fingerprint,
     if (ec)
         throw std::runtime_error("journal: cannot create " + dir +
                                  ": " + ec.message());
-    atomicWriteRecord(journalRecordPath(dir, fingerprint),
-                      journalEncode(fingerprint, result));
+    telemetry::atomicWrite(journalRecordPath(dir, fingerprint),
+                           journalEncode(fingerprint, result));
 }
 
 void

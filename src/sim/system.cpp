@@ -44,16 +44,7 @@ skipDisabledByEnv()
     return disabled;
 }
 
-/** Test-seam override of the env default; see the static setter. */
-std::optional<bool> g_skip_default_override;
-
 } // namespace
-
-void
-System::setCycleSkippingDefault(std::optional<bool> enabled)
-{
-    g_skip_default_override = enabled;
-}
 
 System::System(const SystemConfig &config, const std::string &workload)
     : config_(config)
@@ -100,9 +91,7 @@ void
 System::build(std::vector<std::unique_ptr<TraceSource>> sources,
               bool pre_translated)
 {
-    skip_enabled_ = g_skip_default_override.has_value()
-                        ? *g_skip_default_override
-                        : !skipDisabledByEnv();
+    skip_enabled_ = !skipDisabledByEnv();
     if (config_.chaos.enabled)
         chaos_ = std::make_unique<chaos::ChaosEngine>(config_.chaos,
                                                       config_.seed);

@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -157,16 +156,6 @@ class System
      * CI equivalence diff.
      */
     void setCycleSkipping(bool enabled) { skip_enabled_ = enabled; }
-
-    /**
-     * Test seam: override the BINGO_NO_SKIP-derived default that
-     * build() installs into every subsequently constructed System
-     * (the env variable is latched on first read, so tests that need
-     * both modes in one process cannot use setenv). std::nullopt
-     * restores the environment-derived default. Not thread-safe;
-     * call only while no sweep is running.
-     */
-    static void setCycleSkippingDefault(std::optional<bool> enabled);
 
     /** Whether the fast-forward path is active. */
     bool cycleSkippingEnabled() const { return skip_enabled_; }

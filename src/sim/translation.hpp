@@ -19,6 +19,8 @@
 #ifndef BINGO_SIM_TRANSLATION_HPP
 #define BINGO_SIM_TRANSLATION_HPP
 
+#include <algorithm>
+#include <array>
 #include <memory>
 
 #include "common/hash.hpp"
@@ -64,31 +66,25 @@ class TranslatingSource : public TraceSource
     {
     }
 
-    TraceRecord
-    next() override
+    /** Fills its own window from the inner source and translates it. */
+    const TraceRecord *
+    borrowBatch(std::size_t want, std::size_t &got) override
     {
-        TraceRecord rec = inner_->next();
-        if (rec.type == InstrType::Load ||
-            rec.type == InstrType::Store) {
-            rec.addr = translator_.translate(rec.addr);
-        }
-        return rec;
-    }
-
-    void
-    nextBatch(TraceRecord *out, std::size_t count) override
-    {
-        inner_->nextBatch(out, count);
-        for (std::size_t i = 0; i < count; ++i) {
-            if (out[i].type == InstrType::Load ||
-                out[i].type == InstrType::Store) {
-                out[i].addr = translator_.translate(out[i].addr);
+        got = std::min(want, window_.size());
+        inner_->nextBatch(window_.data(), got);
+        for (std::size_t i = 0; i < got; ++i) {
+            TraceRecord &rec = window_[i];
+            if (rec.type == InstrType::Load ||
+                rec.type == InstrType::Store) {
+                rec.addr = translator_.translate(rec.addr);
             }
         }
+        return window_.data();
     }
 
   private:
     std::unique_ptr<TraceSource> inner_;
+    std::array<TraceRecord, kWindowRecords> window_;
     /// By value (one 8-byte salt): the source outlives any System
     /// member when it feeds a generation-time chain inside the trace
     /// cache, so it cannot borrow the translator by reference.

@@ -114,22 +114,19 @@ atomicWrite(const std::filesystem::path &path, const std::string &content)
                            std::this_thread::get_id()) &
                        0xFFFFFF);
     {
-        std::ofstream out(temp_path, std::ios::trunc);
+        std::ofstream out(temp_path, std::ios::trunc | std::ios::binary);
         if (!out)
-            throw std::runtime_error("telemetry: cannot write " +
-                                     temp_path);
+            throw std::runtime_error("cannot write " + temp_path);
         out << content;
         out.flush();
         if (!out)
-            throw std::runtime_error("telemetry: write failed for " +
-                                     temp_path);
+            throw std::runtime_error("write failed for " + temp_path);
     }
     std::error_code ec;
     fs::rename(temp_path, path, ec);
     if (ec) {
         fs::remove(temp_path, ec);
-        throw std::runtime_error("telemetry: cannot rename into " +
-                                 path.string());
+        throw std::runtime_error("cannot rename into " + path.string());
     }
 }
 

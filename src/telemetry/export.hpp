@@ -68,7 +68,9 @@ std::string sanitizeFileStem(const std::string &name);
  * Write `content` to `path` atomically (unique temp file + rename),
  * the crash-safety idiom shared by the telemetry exports, the sweep
  * journal, and the BENCH_*.json machine-readable bench summaries.
- * Throws std::runtime_error on I/O failure.
+ * The bytes land unchanged (binary mode). The temp file is named
+ * `<path>.tmp.<n>`; journalDropTornWrites deletes leftovers by that
+ * infix. Throws std::runtime_error on I/O failure.
  */
 void atomicWrite(const std::filesystem::path &path,
                  const std::string &content);

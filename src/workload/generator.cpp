@@ -22,8 +22,8 @@ InterleavedSource::InterleavedSource(
     }
 }
 
-TraceRecord
-InterleavedSource::next()
+const TraceRecord *
+InterleavedSource::borrowBatch(std::size_t want, std::size_t &got)
 {
     if (remaining_ == 0) {
         current_ = strict_ ? (current_ + 1) % sources_.size()
@@ -31,30 +31,10 @@ InterleavedSource::next()
         remaining_ = static_cast<unsigned>(
             rng_.range(min_run_, max_run_));
     }
-    --remaining_;
-    return sources_[current_]->next();
-}
-
-void
-InterleavedSource::nextBatch(TraceRecord *out, std::size_t count)
-{
-    // Same record stream as `count` next() calls — run selection and
-    // its rng draws happen in the same order — but each run is pulled
-    // from its sub-source in one bulk request.
-    std::size_t filled = 0;
-    while (filled < count) {
-        if (remaining_ == 0) {
-            current_ = strict_ ? (current_ + 1) % sources_.size()
-                               : rng_.below(sources_.size());
-            remaining_ = static_cast<unsigned>(
-                rng_.range(min_run_, max_run_));
-        }
-        const std::size_t take =
-            std::min<std::size_t>(count - filled, remaining_);
-        sources_[current_]->nextBatch(out + filled, take);
-        remaining_ -= static_cast<unsigned>(take);
-        filled += take;
-    }
+    const TraceRecord *window = sources_[current_]->borrowBatch(
+        std::min<std::size_t>(want, remaining_), got);
+    remaining_ -= static_cast<unsigned>(got);
+    return window;
 }
 
 std::vector<RecordClass>

@@ -39,35 +39,19 @@ class BurstSource : public TraceSource
   public:
     explicit BurstSource(std::uint64_t seed) : rng_(seed) {}
 
-    TraceRecord
-    next() override
+    /** Lends the rest of the pending burst, refilling it when spent. */
+    const TraceRecord *
+    borrowBatch(std::size_t want, std::size_t &got) override
     {
         while (head_ >= queue_.size()) {
             queue_.clear();
             head_ = 0;
             refill();
         }
-        return queue_[head_++];
-    }
-
-    void
-    nextBatch(TraceRecord *out, std::size_t count) override
-    {
-        std::size_t filled = 0;
-        while (filled < count) {
-            while (head_ >= queue_.size()) {
-                queue_.clear();
-                head_ = 0;
-                refill();
-            }
-            const std::size_t take = std::min(
-                count - filled, queue_.size() - head_);
-            std::copy_n(queue_.begin() +
-                            static_cast<std::ptrdiff_t>(head_),
-                        take, out + filled);
-            head_ += take;
-            filled += take;
-        }
+        got = std::min(want, queue_.size() - head_);
+        const TraceRecord *window = queue_.data() + head_;
+        head_ += got;
+        return window;
     }
 
   protected:
@@ -145,9 +129,13 @@ class InterleavedSource : public TraceSource
                       unsigned min_run, unsigned max_run,
                       std::uint64_t seed, bool strict = false);
 
-    TraceRecord next() override;
-
-    void nextBatch(TraceRecord *out, std::size_t count) override;
+    /**
+     * Lends a window of the current sub-stream, clipped at the end of
+     * its run; run selection draws happen when the next record is
+     * needed, exactly as record-by-record reading would draw them.
+     */
+    const TraceRecord *borrowBatch(std::size_t want,
+                                   std::size_t &got) override;
 
   private:
     std::vector<std::unique_ptr<TraceSource>> sources_;

@@ -1,7 +1,6 @@
 #include "workload/trace_cache.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "common/env.hpp"
@@ -62,10 +61,9 @@ TraceBuffer::TraceBuffer(std::unique_ptr<TraceSource> generator,
     : generator_(std::move(generator)), total_bytes_(total_bytes),
       total_records_(total_records)
 {
-    // Reserved once: the chunk directories must never reallocate, so
-    // readers can index them without taking extend_mutex_.
+    // Reserved once: the chunk directory must never reallocate, so
+    // readers can index it without taking extend_mutex_.
     chunks_.reserve(kMaxChunks);
-    run_chunks_.reserve(kMaxChunks);
 }
 
 TraceBuffer::~TraceBuffer()
@@ -94,9 +92,6 @@ TraceBuffer::extendTo(std::size_t needed)
             chunks_.push_back(
                 std::make_unique_for_overwrite<std::byte[]>(
                     kChunkRecords * sizeof(TraceRecord)));
-            run_chunks_.push_back(
-                std::make_unique_for_overwrite<std::uint8_t[]>(
-                    kChunkRecords));
             allocated_chunks_.store(chunks_.size(),
                                     std::memory_order_relaxed);
             if (total_bytes_ != nullptr) {
@@ -109,24 +104,6 @@ TraceBuffer::extendTo(std::size_t needed)
         const std::size_t take =
             remaining < kCommitRecords ? remaining : kCommitRecords;
         generator_->nextBatch(chunkData(chunk_idx) + offset, take);
-        // Run-length sidecar, computed backward over the fresh slice:
-        // runs[i] counts the consecutive non-memory records starting
-        // at i. The value past the slice end is unknown (it has not
-        // been generated yet), so runs are clipped there — shorter
-        // than the true run is always safe for the dispatch fast path.
-        {
-            const TraceRecord *recs = chunkData(chunk_idx) + offset;
-            std::uint8_t *runs = runData(chunk_idx) + offset;
-            std::uint8_t next = 0;
-            for (std::size_t i = take; i-- > 0;) {
-                const bool mem = recs[i].type == InstrType::Load ||
-                                 recs[i].type == InstrType::Store;
-                next = mem ? std::uint8_t{0}
-                           : static_cast<std::uint8_t>(
-                                 next < 255 ? next + 1 : 255);
-                runs[i] = next;
-            }
-        }
         committed += take;
         if (total_records_ != nullptr) {
             total_records_->fetch_add(take,
@@ -138,38 +115,15 @@ TraceBuffer::extendTo(std::size_t needed)
     }
 }
 
-void
-TraceBuffer::read(std::size_t pos, TraceRecord *out, std::size_t count)
-{
-    if (pos + count > committed_.load(std::memory_order_acquire))
-        extendTo(pos + count);
-    while (count > 0) {
-        const std::size_t chunk = pos / kChunkRecords;
-        const std::size_t offset = pos % kChunkRecords;
-        const std::size_t take = count < kChunkRecords - offset
-                                     ? count
-                                     : kChunkRecords - offset;
-        std::memcpy(out, chunkData(chunk) + offset,
-                    take * sizeof(TraceRecord));
-        out += take;
-        pos += take;
-        count -= take;
-    }
-}
-
 const TraceRecord *
-TraceBuffer::view(std::size_t pos, std::size_t want, std::size_t &got,
-                  const std::uint8_t **runs)
+TraceBuffer::view(std::size_t pos, std::size_t want, std::size_t &got)
 {
     if (pos + want > committed_.load(std::memory_order_acquire))
         extendTo(pos + want);
     const std::size_t offset = pos % kChunkRecords;
     const std::size_t in_chunk = kChunkRecords - offset;
     got = want < in_chunk ? want : in_chunk;
-    const std::size_t chunk = pos / kChunkRecords;
-    if (runs != nullptr)
-        *runs = runData(chunk) + offset;
-    return chunkData(chunk) + offset;
+    return chunkData(pos / kChunkRecords) + offset;
 }
 
 std::size_t

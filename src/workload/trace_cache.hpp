@@ -9,7 +9,9 @@
  * thousands of redundant trace generations of identical record
  * streams. The cache generates each (workload, core, seed) stream
  * once, into an append-only chunked buffer, and hands every System a
- * lightweight replay source over the shared immutable prefix.
+ * lightweight replay source over the shared immutable prefix. Replay
+ * copies nothing: the source lends windows of the buffer's chunks in
+ * place through TraceSource::borrowBatch, the core's one read path.
  *
  * Identity: a stream is fully determined by (workload, core, seed) —
  * makeWorkload() derives the per-core base address and generator
@@ -44,9 +46,9 @@
  *   exactly one System is served by a private generator instead, so
  *   the core reads generator output without the buffer fill.
  * - Budget: a stream whose largest planned System would pin more than
- *   the budget — cores x (warm-up + measure) records x 25 bytes (the
- *   record plus its run-length byte) — is always served privately: a
- *   pinned buffer cannot be evicted, so caching it would overshoot.
+ *   the budget — cores x (warm-up + measure) records x 24 bytes — is
+ *   always served privately: a pinned buffer cannot be evicted, so
+ *   caching it would overshoot.
  * - Unplanned acquisitions (direct System construction, examples,
  *   bingo_worker jobs) are cached exactly as without a plan.
  * Every private-generator acquisition counts in
@@ -125,8 +127,8 @@ class TraceBuffer
     /// Chunk-directory capacity, reserved up front so the directory
     /// never reallocates under readers: 2^14 chunks = 2^30 records.
     static constexpr std::size_t kMaxChunks = std::size_t{1} << 14;
-    /// Bytes retained per record: the record plus its run-length byte.
-    static constexpr std::size_t kRecordBytes = sizeof(TraceRecord) + 1;
+    /// Bytes retained per record.
+    static constexpr std::size_t kRecordBytes = sizeof(TraceRecord);
 
     /**
      * @param generator The stream's sole generator; owned.
@@ -142,39 +144,22 @@ class TraceBuffer
     TraceBuffer(const TraceBuffer &) = delete;
     TraceBuffer &operator=(const TraceBuffer &) = delete;
 
-    /** Copy records [pos, pos + count) into `out`, extending first. */
-    void read(std::size_t pos, TraceRecord *out, std::size_t count);
-
     /**
      * Zero-copy read: pointer to the contiguous run starting at
      * `pos`, clipped to `want` records and the owning chunk's end,
      * with `got` receiving the run length. Extends first, so the run
      * is always nonempty. The pointer stays valid for the buffer's
      * lifetime (chunks are never freed while the buffer lives).
-     *
-     * When `runs` is non-null it receives the window's non-memory
-     * run-length sidecar, aligned with the returned records (see
-     * TraceSource::borrowRuns for the entry contract). The sidecar is
-     * computed once at generation time, so replaying consumers get
-     * dispatch-run information for free.
      */
     const TraceRecord *view(std::size_t pos, std::size_t want,
-                            std::size_t &got,
-                            const std::uint8_t **runs = nullptr);
+                            std::size_t &got);
 
-    /** Bytes of chunk storage owned right now (records + sidecar). */
+    /** Bytes of chunk storage owned right now. */
     std::uint64_t
     bytesReserved() const
     {
         return allocated_chunks_.load(std::memory_order_relaxed) *
                kChunkRecords * kRecordBytes;
-    }
-
-    /** Records generated so far (tests/diagnostics). */
-    std::size_t
-    committedRecords() const
-    {
-        return committed_.load(std::memory_order_acquire);
     }
 
   private:
@@ -200,33 +185,19 @@ class TraceBuffer
         return reinterpret_cast<TraceRecord *>(chunks_[index].get());
     }
 
-    /** Run-length sidecar of chunk `index` (parallel to its records). */
-    std::uint8_t *
-    runData(std::size_t index) const
-    {
-        return run_chunks_[index].get();
-    }
-
     std::unique_ptr<TraceSource> generator_;
     std::mutex extend_mutex_;
     std::atomic<std::size_t> committed_{0};
     std::atomic<std::size_t> allocated_chunks_{0};
     std::vector<std::unique_ptr<std::byte[]>> chunks_;
-    /// Per-chunk non-memory run lengths, one byte per record: entry i
-    /// is the number of consecutive non-load/store records starting at
-    /// record i (0 for a memory record), saturated at 255 and clipped
-    /// at the generation-slice boundary — a conservative lower bound
-    /// the dispatch fast path may always trust. Written backward over
-    /// each slice right after the generator fills it, published by the
-    /// same committed_ release-store as the records.
-    std::vector<std::unique_ptr<std::uint8_t[]>> run_chunks_;
     std::atomic<std::uint64_t> *total_bytes_;
     std::atomic<std::uint64_t> *total_records_;
 };
 
 /**
  * TraceSource replaying a shared TraceBuffer from a private cursor.
- * Yields exactly the sequence the buffer's generator would.
+ * Yields exactly the sequence the buffer's generator would, lending
+ * windows of the buffer's chunks in place.
  */
 class CachedTraceSource : public TraceSource
 {
@@ -236,42 +207,17 @@ class CachedTraceSource : public TraceSource
     {
     }
 
-    TraceRecord
-    next() override
-    {
-        TraceRecord record;
-        buffer_->read(pos_, &record, 1);
-        ++pos_;
-        return record;
-    }
-
-    void
-    nextBatch(TraceRecord *out, std::size_t count) override
-    {
-        buffer_->read(pos_, out, count);
-        pos_ += count;
-    }
-
     const TraceRecord *
     borrowBatch(std::size_t want, std::size_t &got) override
     {
-        const TraceRecord *run =
-            buffer_->view(pos_, want, got, &runs_);
+        const TraceRecord *run = buffer_->view(pos_, want, got);
         pos_ += got;
         return run;
-    }
-
-    const std::uint8_t *
-    borrowRuns() const override
-    {
-        return runs_;
     }
 
   private:
     std::shared_ptr<TraceBuffer> buffer_;
     std::size_t pos_ = 0;
-    /// Sidecar of the last borrowBatch() window (see borrowRuns()).
-    const std::uint8_t *runs_ = nullptr;
 };
 
 /** Process-wide, thread-safe registry of shared trace buffers. */

@@ -1,5 +1,6 @@
 #include "workload/trace_file.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
@@ -149,12 +150,13 @@ FileTraceSource::FileTraceSource(std::vector<TraceRecord> records)
         throw std::runtime_error("empty trace record list");
 }
 
-TraceRecord
-FileTraceSource::next()
+const TraceRecord *
+FileTraceSource::borrowBatch(std::size_t want, std::size_t &got)
 {
-    TraceRecord rec = records_[pos_];
-    pos_ = (pos_ + 1) % records_.size();
-    return rec;
+    const TraceRecord *window = records_.data() + pos_;
+    got = std::min(want, records_.size() - pos_);
+    pos_ = (pos_ + got) % records_.size();
+    return window;
 }
 
 } // namespace bingo

@@ -67,7 +67,9 @@ class FileTraceSource : public TraceSource
     /** Wrap an in-memory record list (tests). */
     explicit FileTraceSource(std::vector<TraceRecord> records);
 
-    TraceRecord next() override;
+    /** Lends the loaded records in place, clipped at the wrap. */
+    const TraceRecord *borrowBatch(std::size_t want,
+                                   std::size_t &got) override;
 
     std::size_t size() const { return records_.size(); }
 

@@ -277,19 +277,20 @@ TEST(ChaosEngine, DifferentSeedsDifferentSchedule)
 class ScriptedSource : public TraceSource
 {
   public:
-    TraceRecord
-    next() override
+    const TraceRecord *
+    borrowBatch(std::size_t, std::size_t &got) override
     {
-        TraceRecord rec;
-        rec.pc = counter_;
-        rec.addr = counter_ * 64;
-        rec.type = InstrType::Load;
+        got = 1;
+        current_.pc = counter_;
+        current_.addr = counter_ * 64;
+        current_.type = InstrType::Load;
         ++counter_;
-        return rec;
+        return &current_;
     }
 
   private:
     std::uint64_t counter_ = 0;
+    TraceRecord current_;
 };
 
 TEST(ChaosTraceSource, CorruptsDeterministically)

@@ -39,8 +39,8 @@ class FootprintWorkload : public TraceSource
   public:
     explicit FootprintWorkload(std::uint64_t seed) : rng_(seed) {}
 
-    TraceRecord
-    next() override
+    const TraceRecord *
+    borrowBatch(std::size_t, std::size_t &got) override
     {
         if (queue_.empty()) {
             const Addr region = rng_.below(200000);
@@ -57,15 +57,17 @@ class FootprintWorkload : public TraceSource
                         TraceRecord{0x900, 0, InstrType::Alu});
             }
         }
-        TraceRecord rec = queue_.front();
+        got = 1;
+        current_ = queue_.front();
         queue_.pop_front();
-        return rec;
+        return &current_;
     }
 
   private:
     static constexpr Addr kOffsets[4] = {0, 6, 13, 27};
     Rng rng_;
     std::deque<TraceRecord> queue_;
+    TraceRecord current_;
 };
 
 RunResult

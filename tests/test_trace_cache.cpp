@@ -194,7 +194,7 @@ TEST_F(TraceCacheTest, TwoPlannedUsesMissThenHit)
 TEST_F(TraceCacheTest, PlanOverBudgetBypassesEveryAcquisition)
 {
     TraceCache &cache = TraceCache::instance();
-    // Each System would pin 2 cores x 100 k records x 25 B = 5 MB.
+    // Each System would pin 2 cores x 100 k records x 24 B = 4.8 MB.
     cache.setBudgetBytes(std::uint64_t{1} << 20);
     const TraceCache::Plan plan(cache,
                                 {demand("em3d", 1, 2, 100000),

@@ -27,12 +27,14 @@ class ScriptedSource : public TraceSource
     {
     }
 
-    TraceRecord
-    next() override
+    const TraceRecord *
+    borrowBatch(std::size_t, std::size_t &got) override
     {
-        if (pos_ < script_.size())
-            return script_[pos_++];
-        return TraceRecord{0x1000, 0, InstrType::Alu};
+        got = 1;
+        current_ = pos_ < script_.size()
+                       ? script_[pos_++]
+                       : TraceRecord{0x1000, 0, InstrType::Alu};
+        return &current_;
     }
 
     /** Whether the script has been fully consumed. */
@@ -41,6 +43,7 @@ class ScriptedSource : public TraceSource
   private:
     std::vector<TraceRecord> script_;
     std::size_t pos_ = 0;
+    TraceRecord current_;
 };
 
 /**

@@ -171,13 +171,14 @@ TEST(Interleaver, StrictModeRoundRobins)
 {
     struct Tagged : TraceSource
     {
-        explicit Tagged(Addr tag) : tag(tag) {}
-        TraceRecord
-        next() override
+        explicit Tagged(Addr tag) : record{tag, 0, InstrType::Alu} {}
+        const TraceRecord *
+        borrowBatch(std::size_t, std::size_t &got) override
         {
-            return TraceRecord{tag, 0, InstrType::Alu};
+            got = 1;
+            return &record;
         }
-        Addr tag;
+        TraceRecord record;
     };
     std::vector<std::unique_ptr<TraceSource>> subs;
     subs.push_back(std::make_unique<Tagged>(1));
@@ -197,13 +198,14 @@ TEST(Interleaver, RandomModeCoversAllSources)
 {
     struct Tagged : TraceSource
     {
-        explicit Tagged(Addr tag) : tag(tag) {}
-        TraceRecord
-        next() override
+        explicit Tagged(Addr tag) : record{tag, 0, InstrType::Alu} {}
+        const TraceRecord *
+        borrowBatch(std::size_t, std::size_t &got) override
         {
-            return TraceRecord{tag, 0, InstrType::Alu};
+            got = 1;
+            return &record;
         }
-        Addr tag;
+        TraceRecord record;
     };
     std::vector<std::unique_ptr<TraceSource>> subs;
     for (Addr t = 1; t <= 4; ++t)
