@@ -19,7 +19,6 @@
 #include "cache/cache.hpp"
 #include "cache/mshr.hpp"
 #include "common/event_queue.hpp"
-#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "mem/dram.hpp"
@@ -124,27 +123,6 @@ BM_TableShortEventScan(benchmark::State &state)
 BENCHMARK(BM_TableShortEventScan);
 
 void
-BM_TableRecencySelect(benchmark::State &state)
-{
-    // The region-tracker victim pattern: occupancy + LRU pick in one
-    // pass (previously a per-insert vector build and sort).
-    SetAssocTable<std::uint64_t> table(64, 8);
-    Rng rng(29);
-    for (unsigned i = 0; i < 4096; ++i) {
-        const std::uint64_t tag = rng.next();
-        table.insert(table.setIndex(mix64(tag)), tag, tag);
-    }
-    for (auto _ : state) {
-        const std::size_t set = table.setIndex(mix64(rng.next()));
-        const auto *lru =
-            table.leastRecentIf(set, [](const auto &) { return true; });
-        benchmark::DoNotOptimize(lru);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TableRecencySelect);
-
-void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
     // The cache fill/completion pattern: completions scheduled a few
@@ -223,30 +201,6 @@ BM_WorkloadGeneration(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WorkloadGeneration);
-
-/**
- * The batch footprint reductions behind pattern-table aggregation:
- * union / intersection / popcount over a candidate set of raw
- * footprint words.
- */
-void
-BM_FootprintBatchOps(benchmark::State &state)
-{
-    Rng rng(51);
-    std::array<std::uint64_t, 16> raws;
-    for (auto &raw : raws)
-        raw = rng.next() & ((1ULL << kBlocksPerRegion) - 1);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            Footprint::unionOf(raws.data(), raws.size()));
-        benchmark::DoNotOptimize(
-            Footprint::intersectOf(raws.data(), raws.size()));
-        benchmark::DoNotOptimize(
-            Footprint::totalCount(raws.data(), raws.size()));
-    }
-    state.SetItemsProcessed(state.iterations() * raws.size() * 3);
-}
-BENCHMARK(BM_FootprintBatchOps);
 
 /**
  * Replaying an already-generated trace from the shared cache — the

@@ -6,7 +6,6 @@
 #include "common/sim_check.hpp"
 #include "mem/dram.hpp"
 #include "telemetry/lifecycle.hpp"
-#include "telemetry/registry.hpp"
 
 namespace bingo
 {
@@ -491,40 +490,18 @@ Cache::victimize(Addr block, Cycle now)
 }
 
 void
-Cache::registerTelemetry(telemetry::Registry &registry) const
+Cache::metrics(MetricMap &out) const
 {
-    // Probes only: every value is a counter this cache maintains
-    // anyway, read live when a snapshot is taken.
-    registry.probeGroup(
-        name_ + ".",
-        [this](std::map<std::string, std::uint64_t> &out) {
-            const CacheStats &s = stats_;
-            out["demand_accesses"] = s.demand_accesses;
-            out["demand_hits"] = s.demand_hits;
-            out["demand_misses"] = s.demand_misses;
-            out["late_prefetch_hits"] = s.late_prefetch_hits;
-            out["mshr_merges"] = s.mshr_merges;
-            out["mshr_stall_fetches"] = s.mshr_stall_fetches;
-            out["prefetch_requests"] = s.prefetch_requests;
-            out["prefetch_drops"] = s.prefetch_drops;
-            out["prefetch_drop_present"] = s.prefetch_drop_present;
-            out["prefetch_drop_inflight"] = s.prefetch_drop_inflight;
-            out["prefetch_drop_mshr"] = s.prefetch_drop_mshr;
-            out["prefetch_fills"] = s.prefetch_fills;
-            out["useful_prefetches"] = s.useful_prefetches;
-            out["useless_prefetches"] = s.useless_prefetches;
-            out["late_useful_prefetches"] = s.late_useful_prefetches;
-            out["timely_useful_prefetches"] =
-                s.timelyUsefulPrefetches();
-            out["writebacks"] = s.writebacks;
-            out["evictions"] = s.evictions;
-            out["demand_miss_latency"] = s.demand_miss_latency;
-            out["mshr_occupancy"] = mshrs_.size();
-            out["prefetch_queue_depth"] = prefetch_queue_.size();
-            out["pending_fetches"] = pending_.size();
-            out["resident_blocks"] = residentBlocks();
-        });
-    mshrs_.registerTelemetry(registry, name_ + ".mshr.");
+    const std::string prefix = name_ + ".";
+    addCounters(out, prefix, stats_);
+    out[prefix + "timely_useful_prefetches"] =
+        stats_.timelyUsefulPrefetches();
+    out[prefix + "mshr_occupancy"] = mshrs_.size();
+    out[prefix + "prefetch_queue_depth"] = prefetch_queue_.size();
+    out[prefix + "pending_fetches"] = pending_.size();
+    out[prefix + "resident_blocks"] = residentBlocks();
+    out[prefix + "mshr.occupancy"] = mshrs_.size();
+    out[prefix + "mshr.capacity"] = mshrs_.capacity();
 }
 
 DramLower::DramLower(DramController &dram, EventQueue &events)

@@ -28,6 +28,7 @@
 #include "cache/mshr.hpp"
 #include "common/config.hpp"
 #include "common/event_queue.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace bingo
@@ -36,7 +37,6 @@ namespace bingo
 namespace telemetry
 {
 class PrefetchLifecycle;
-class Registry;
 } // namespace telemetry
 
 /** A memory access presented to a cache. */
@@ -115,6 +115,38 @@ struct CacheStats
     }
 };
 
+/**
+ * Visit every CacheStats counter once, in declaration order, as
+ * `visit(name, field)` (the field const when `stats` is): the one
+ * counter list behind the journal's `llc`/`l1d` lines and run.json.
+ */
+template <MaybeConst<CacheStats> Stats, typename Visitor>
+constexpr void
+visitCounters(Stats &stats, Visitor &&visit)
+{
+    visit("demand_accesses", stats.demand_accesses);
+    visit("demand_hits", stats.demand_hits);
+    visit("demand_misses", stats.demand_misses);
+    visit("late_prefetch_hits", stats.late_prefetch_hits);
+    visit("mshr_merges", stats.mshr_merges);
+    visit("mshr_stall_fetches", stats.mshr_stall_fetches);
+    visit("prefetch_requests", stats.prefetch_requests);
+    visit("prefetch_drops", stats.prefetch_drops);
+    visit("prefetch_drop_present", stats.prefetch_drop_present);
+    visit("prefetch_drop_inflight", stats.prefetch_drop_inflight);
+    visit("prefetch_drop_mshr", stats.prefetch_drop_mshr);
+    visit("prefetch_fills", stats.prefetch_fills);
+    visit("useful_prefetches", stats.useful_prefetches);
+    visit("useless_prefetches", stats.useless_prefetches);
+    visit("late_useful_prefetches", stats.late_useful_prefetches);
+    visit("writebacks", stats.writebacks);
+    visit("evictions", stats.evictions);
+    visit("demand_miss_latency", stats.demand_miss_latency);
+}
+static_assert(counterCount<CacheStats>() * sizeof(std::uint64_t) ==
+                  sizeof(CacheStats),
+              "visitCounters must name every CacheStats counter");
+
 /** Set-associative write-back cache level. */
 class Cache
 {
@@ -182,8 +214,11 @@ class Cache
         lifecycle_ = tracker;
     }
 
-    /** Register this cache's counters and occupancy probes. */
-    void registerTelemetry(telemetry::Registry &registry) const;
+    /**
+     * Report this cache's counters into `out` under "<name>.", with
+     * its live occupancies and its MSHR file's under "<name>.mshr.".
+     */
+    void metrics(MetricMap &out) const;
 
     const CacheStats &stats() const { return stats_; }
     void resetStats() { stats_ = CacheStats{}; }

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/sim_check.hpp"
-#include "telemetry/registry.hpp"
 
 namespace bingo
 {
@@ -118,17 +117,6 @@ MshrFile::clear()
     free_slots_.clear();
     for (std::size_t i = capacity_; i > 0; --i)
         free_slots_.push_back(static_cast<std::uint32_t>(i - 1));
-}
-
-void
-MshrFile::registerTelemetry(telemetry::Registry &registry,
-                            const std::string &prefix) const
-{
-    registry.probeGroup(
-        prefix, [this](std::map<std::string, std::uint64_t> &out) {
-            out["occupancy"] = size_;
-            out["capacity"] = capacity_;
-        });
 }
 
 } // namespace bingo

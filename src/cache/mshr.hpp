@@ -35,11 +35,6 @@
 namespace bingo
 {
 
-namespace telemetry
-{
-class Registry;
-} // namespace telemetry
-
 /**
  * A completion parked on an in-flight miss. The owning cache accounts
  * `fill - start` of demand miss latency before invoking `fn` when
@@ -144,10 +139,6 @@ class MshrFile
     }
 
     void clear();
-
-    /** Register occupancy/capacity probes under `prefix`. */
-    void registerTelemetry(telemetry::Registry &registry,
-                           const std::string &prefix) const;
 
     /** Visit every in-flight entry, unordered (self-checks only). */
     template <typename Fn>

@@ -30,6 +30,7 @@
 #include "common/config.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/ooo_core.hpp"
 
@@ -119,6 +120,27 @@ struct ChaosCounters
     std::uint64_t mshr_spikes = 0;
     std::uint64_t injected_prefetcher_faults = 0;
 };
+
+/**
+ * Visit every ChaosCounters counter once, in declaration order, as
+ * `visit(name, field)` (the field const when `counters` is): the one
+ * counter list behind run.json's `chaos.` counters.
+ */
+template <MaybeConst<ChaosCounters> Counters, typename Visitor>
+constexpr void
+visitCounters(Counters &counters, Visitor &&visit)
+{
+    visit("trace_corruptions", counters.trace_corruptions);
+    visit("dram_delays", counters.dram_delays);
+    visit("dram_drops", counters.dram_drops);
+    visit("metadata_flips", counters.metadata_flips);
+    visit("mshr_spikes", counters.mshr_spikes);
+    visit("injected_prefetcher_faults",
+          counters.injected_prefetcher_faults);
+}
+static_assert(counterCount<ChaosCounters>() * sizeof(std::uint64_t) ==
+                  sizeof(ChaosCounters),
+              "visitCounters must name every ChaosCounters counter");
 
 /**
  * Per-System fault plan: one independent RNG stream per site, all

@@ -94,13 +94,12 @@ GuardedPrefetcher::perturbMetadata(Rng &rng)
 }
 
 void
-GuardedPrefetcher::registerTelemetry(telemetry::Registry &registry,
-                                     const std::string &prefix) const
+GuardedPrefetcher::metrics(const std::string &prefix, MetricMap &out) const
 {
     // The wrapped model keeps its usual keys so clean-run telemetry is
     // unchanged; the guard's verdict counters live one level down.
-    inner_->registerTelemetry(registry, prefix);
-    Prefetcher::registerTelemetry(registry, prefix + "guard.");
+    inner_->metrics(prefix, out);
+    Prefetcher::metrics(prefix + "guard.", out);
 }
 
 } // namespace bingo::chaos

@@ -47,10 +47,10 @@ class GuardedPrefetcher : public Prefetcher
     void perturbMetadata(Rng &rng) override;
     std::string name() const override { return name_; }
 
-    /** Expose the guard's own counters under `prefix`+"guard." and the
+    /** Report the guard's own counters under `prefix`+"guard." and the
      *  wrapped model's under `prefix` (clean-run keys unchanged). */
-    void registerTelemetry(telemetry::Registry &registry,
-                           const std::string &prefix) const override;
+    void metrics(const std::string &prefix,
+                 MetricMap &out) const override;
 
     /**
      * Arm a chaos-injected fault: the next onAccess throws inside the

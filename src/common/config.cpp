@@ -198,7 +198,6 @@ SystemConfig::validate() const
         reject("dram.row_size_bytes",
                "must be a multiple of the block size");
     requireNonzero("dram.data_transfer", dram.data_transfer);
-    requireNonzero("dram.read_queue_entries", dram.read_queue_entries);
 
     const PrefetcherConfig &pf = prefetcher;
     if (!isPowerOfTwo(pf.region_blocks))

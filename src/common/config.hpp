@@ -70,7 +70,11 @@ struct DramConfig
     unsigned t_rcd = 56;               ///< Row activate, cycles.
     unsigned t_rp = 56;                ///< Precharge, cycles.
     unsigned data_transfer = 14;       ///< Bus occupancy per 64 B.
-    unsigned read_queue_entries = 48;  ///< Per channel.
+    /// Per channel. Fixed: no component bounds its request queue, so
+    /// a setting would only give one result two fingerprints. It keeps
+    /// its slot in visitConfigFields, so fingerprints and the worker
+    /// wire are unchanged.
+    static constexpr unsigned read_queue_entries = 48;
 
     /**
      * Zero-load read latency to an open row's channel with a row miss:
@@ -260,9 +264,10 @@ enum class ConfigGroup
  * config. Fingerprints write a group only when it is on, so every
  * fingerprint from before the Temporal and Chaos groups existed stays
  * byte-identical; the wire writes every group. `visit(field)` then
- * takes each field by reference (const when `Config` is): an unsigned
- * integer, a double, an enum, the bool chaos.enabled (the Chaos
- * group's switch), or the vector of hybrid engines.
+ * takes each field by reference (const when `Config` is, and always
+ * for the fixed dram.read_queue_entries): an unsigned integer, a
+ * double, an enum, the bool chaos.enabled (the Chaos group's switch),
+ * or the vector of hybrid engines.
  */
 template <typename Config, typename Visitor>
 void

@@ -128,35 +128,6 @@ Footprint::toString() const
     return out;
 }
 
-Footprint
-Footprint::unionOf(const std::uint64_t *raws, std::size_t count,
-                   unsigned width)
-{
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < count; ++i)
-        acc |= raws[i];
-    return fromRaw(acc, width);
-}
-
-Footprint
-Footprint::intersectOf(const std::uint64_t *raws, std::size_t count,
-                       unsigned width)
-{
-    std::uint64_t acc = ~std::uint64_t{0};
-    for (std::size_t i = 0; i < count; ++i)
-        acc &= raws[i];
-    return fromRaw(acc, width);
-}
-
-std::uint64_t
-Footprint::totalCount(const std::uint64_t *raws, std::size_t count)
-{
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < count; ++i)
-        sum += static_cast<std::uint64_t>(std::popcount(raws[i]));
-    return sum;
-}
-
 FootprintVote::FootprintVote(unsigned width)
     : counts_(width, 0), width_(width)
 {

@@ -77,26 +77,6 @@ class Footprint
     /** Render as a 0/1 string, block 0 first (debugging aid). */
     std::string toString() const;
 
-    /*
-     * Batch operations over candidate sets, as packed raw words
-     * (LSB = block 0, one word per footprint, all of width `width`).
-     * Each is bit-identical to folding the one-footprint operators.
-     */
-
-    /** Union of `count` raw footprints (empty when count is 0). */
-    static Footprint unionOf(const std::uint64_t *raws,
-                             std::size_t count,
-                             unsigned width = kBlocksPerRegion);
-
-    /** Intersection of `count` raw footprints (full when count is 0). */
-    static Footprint intersectOf(const std::uint64_t *raws,
-                                 std::size_t count,
-                                 unsigned width = kBlocksPerRegion);
-
-    /** Total marked blocks across `count` raw footprints. */
-    static std::uint64_t totalCount(const std::uint64_t *raws,
-                                    std::size_t count);
-
   private:
     std::uint64_t bits_ = 0;
     unsigned width_;

@@ -1,16 +1,18 @@
 /**
  * @file
- * Small statistics helpers: aggregate math (mean, geometric mean) and a
- * named-counter registry that components use to expose their counters
- * uniformly to reports and tests.
+ * Small statistics helpers: aggregate math (mean, geometric mean), a
+ * named-counter set for counters named at run time, and the
+ * name->value map components report their counters into.
  */
 
 #ifndef BINGO_COMMON_STATS_HPP
 #define BINGO_COMMON_STATS_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace bingo
@@ -94,6 +96,51 @@ class CachedStat
   private:
     std::uint64_t *ptr_ = nullptr;
 };
+
+/**
+ * Counter values by name, in name order: what components report into
+ * for run.json's `metrics` (System::metrics()).
+ */
+using MetricMap = std::map<std::string, std::uint64_t>;
+
+/**
+ * `Stats` is `S` or `const S`. A stats struct's visitCounters takes
+ * either, so one counter list serves the readers and the writers of
+ * its fields (the journal decoder writes them).
+ */
+template <typename Stats, typename S>
+concept MaybeConst = std::is_same_v<std::remove_const_t<Stats>, S>;
+
+/**
+ * Number of counters a stats struct's visitCounters names. Beside each
+ * list, a static_assert holds it to the struct's size, so a counter
+ * added to the struct but not to its list, or left out of the list,
+ * fails to compile.
+ */
+template <typename Stats>
+constexpr std::size_t
+counterCount()
+{
+    Stats stats{};
+    std::size_t count = 0;
+    visitCounters(stats, [&count](const char *, std::uint64_t &) {
+        ++count;
+    });
+    return count;
+}
+
+/**
+ * Add every counter of `stats` to `out` as `prefix` + its name,
+ * through the struct's visitCounters list.
+ */
+template <typename Stats>
+void
+addCounters(MetricMap &out, const std::string &prefix, const Stats &stats)
+{
+    visitCounters(stats, [&](const char *name, std::uint64_t value) {
+        out[prefix + name] = value;
+    });
+}
 
 } // namespace bingo
 

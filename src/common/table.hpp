@@ -134,35 +134,6 @@ class SetAssocTable
     }
 
     /**
-     * Most recently used valid entry in `set` satisfying `pred`, found
-     * in one pass; nullptr when none matches. Does not update recency.
-     */
-    template <typename Pred>
-    const Entry *
-    mostRecentIf(std::size_t set, const Pred &pred) const
-    {
-        const Entry *best = nullptr;
-        forEachIf(set, pred, [&best](const Entry &e) {
-            if (best == nullptr || e.lru > best->lru)
-                best = &e;
-        });
-        return best;
-    }
-
-    /** One-pass LRU counterpart of mostRecentIf. */
-    template <typename Pred>
-    const Entry *
-    leastRecentIf(std::size_t set, const Pred &pred) const
-    {
-        const Entry *best = nullptr;
-        forEachIf(set, pred, [&best](const Entry &e) {
-            if (best == nullptr || e.lru < best->lru)
-                best = &e;
-        });
-        return best;
-    }
-
-    /**
      * Insert `data` under `tag` in `set`, evicting the LRU way if the
      * set is full. An existing entry with the same tag is overwritten.
      * @return Reference to the inserted entry.

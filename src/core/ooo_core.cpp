@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/sim_check.hpp"
-#include "telemetry/registry.hpp"
 
 namespace bingo
 {
@@ -227,21 +226,12 @@ OooCore::ipc() const
 }
 
 void
-OooCore::registerTelemetry(telemetry::Registry &registry) const
+OooCore::metrics(MetricMap &out) const
 {
-    registry.probeGroup(
-        "core" + std::to_string(id_) + ".",
-        [this](std::map<std::string, std::uint64_t> &out) {
-            out["instructions"] = stats_.instructions;
-            out["loads"] = stats_.loads;
-            out["stores"] = stats_.stores;
-            out["branches"] = stats_.branches;
-            out["cycles"] = stats_.cycles;
-            out["rob_full_cycles"] = stats_.rob_full_cycles;
-            out["lsq_full_cycles"] = stats_.lsq_full_cycles;
-            out["rob_occupancy"] = rob_tail_ - rob_head_;
-            out["lsq_occupancy"] = lsq_used_;
-        });
+    const std::string prefix = "core" + std::to_string(id_) + ".";
+    addCounters(out, prefix, stats_);
+    out[prefix + "rob_occupancy"] = rob_tail_ - rob_head_;
+    out[prefix + "lsq_occupancy"] = lsq_used_;
 }
 
 } // namespace bingo

@@ -25,6 +25,7 @@
 #include "cache/cache.hpp"
 #include "common/config.hpp"
 #include "common/sim_check.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace bingo
@@ -95,6 +96,27 @@ struct CoreStats
     std::uint64_t rob_full_cycles = 0;
     std::uint64_t lsq_full_cycles = 0;
 };
+
+/**
+ * Visit every CoreStats counter once, in declaration order, as
+ * `visit(name, field)` (the field const when `stats` is): the one
+ * counter list behind run.json's `core<i>.` counters.
+ */
+template <MaybeConst<CoreStats> Stats, typename Visitor>
+constexpr void
+visitCounters(Stats &stats, Visitor &&visit)
+{
+    visit("instructions", stats.instructions);
+    visit("loads", stats.loads);
+    visit("stores", stats.stores);
+    visit("branches", stats.branches);
+    visit("cycles", stats.cycles);
+    visit("rob_full_cycles", stats.rob_full_cycles);
+    visit("lsq_full_cycles", stats.lsq_full_cycles);
+}
+static_assert(counterCount<CoreStats>() * sizeof(std::uint64_t) ==
+                  sizeof(CoreStats),
+              "visitCounters must name every CoreStats counter");
 
 /** One simulated out-of-order core. */
 class OooCore
@@ -182,8 +204,11 @@ class OooCore
     const CoreStats &stats() const { return stats_; }
     CoreId id() const { return id_; }
 
-    /** Register counters and window-occupancy probes ("core<id>."). */
-    void registerTelemetry(telemetry::Registry &registry) const;
+    /**
+     * Report this core's counters and window occupancies into `out`
+     * under "core<id>.".
+     */
+    void metrics(MetricMap &out) const;
 
   private:
     /// The typed completion record dispatches LoadFill/StoreRelease

@@ -124,7 +124,8 @@ struct ConfigWriter
 
 /**
  * Reads what ConfigWriter wrote, range-checking every enum and the
- * engine count; `ok` turns false at the first malformed field.
+ * engine count, and requiring a fixed (const) field to carry its one
+ * value; `ok` turns false at the first malformed field.
  */
 struct ConfigReader
 {
@@ -144,7 +145,10 @@ struct ConfigReader
     {
         if (!ok)
             return;
-        if constexpr (std::is_same_v<T, double>) {
+        if constexpr (std::is_const_v<T>) {
+            std::remove_const_t<T> read{};
+            ok = (in >> read) && read == value;
+        } else if constexpr (std::is_same_v<T, double>) {
             std::uint64_t bits = 0;
             ok = static_cast<bool>(in >> bits);
             value = doubleFromBits(bits);

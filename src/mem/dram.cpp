@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/sim_check.hpp"
-#include "telemetry/registry.hpp"
 
 namespace bingo
 {
@@ -178,21 +177,6 @@ DramController::reset()
     }
     stats_ = DramStats{};
     busy_until_ = 0;
-}
-
-void
-DramController::registerTelemetry(telemetry::Registry &registry) const
-{
-    registry.probeGroup(
-        "dram.", [this](std::map<std::string, std::uint64_t> &out) {
-            out["reads"] = stats_.reads;
-            out["writes"] = stats_.writes;
-            out["row_hits"] = stats_.row_hits;
-            out["row_misses"] = stats_.row_misses;
-            out["row_conflicts"] = stats_.row_conflicts;
-            out["bus_busy_cycles"] = stats_.bus_busy_cycles;
-            out["queue_delay_cycles"] = stats_.queue_delay_cycles;
-        });
 }
 
 } // namespace bingo

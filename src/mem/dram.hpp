@@ -26,11 +26,6 @@
 namespace bingo
 {
 
-namespace telemetry
-{
-class Registry;
-} // namespace telemetry
-
 /** Statistics exported by the DRAM model. */
 struct DramStats
 {
@@ -51,6 +46,27 @@ struct DramStats
                                 static_cast<double>(total);
     }
 };
+
+/**
+ * Visit every DramStats counter once, in declaration order, as
+ * `visit(name, field)` (the field const when `stats` is): the one
+ * counter list behind the journal's `dram` line and run.json.
+ */
+template <MaybeConst<DramStats> Stats, typename Visitor>
+constexpr void
+visitCounters(Stats &stats, Visitor &&visit)
+{
+    visit("reads", stats.reads);
+    visit("writes", stats.writes);
+    visit("row_hits", stats.row_hits);
+    visit("row_misses", stats.row_misses);
+    visit("row_conflicts", stats.row_conflicts);
+    visit("bus_busy_cycles", stats.bus_busy_cycles);
+    visit("queue_delay_cycles", stats.queue_delay_cycles);
+}
+static_assert(counterCount<DramStats>() * sizeof(std::uint64_t) ==
+                  sizeof(DramStats),
+              "visitCounters must name every DramStats counter");
 
 /** Banked DRAM with per-channel data buses. */
 class DramController
@@ -117,8 +133,8 @@ class DramController
     /** Clear the counters but keep bank/bus timing state. */
     void resetStatsOnly() { stats_ = DramStats{}; }
 
-    /** Register this controller's counters as telemetry probes. */
-    void registerTelemetry(telemetry::Registry &registry) const;
+    /** Report this controller's counters into `out` under "dram.". */
+    void metrics(MetricMap &out) const { addCounters(out, "dram.", stats_); }
 
     /** Channel servicing `block_addr` (blocks interleave channels). */
     unsigned channelOf(Addr block_addr) const;

@@ -4,7 +4,6 @@
 #include <cctype>
 
 #include "common/hash.hpp"
-#include "telemetry/registry.hpp"
 
 namespace bingo
 {
@@ -278,13 +277,11 @@ HybridPrefetcher::perturbMetadata(Rng &rng)
 }
 
 void
-HybridPrefetcher::registerTelemetry(telemetry::Registry &registry,
-                                    const std::string &prefix) const
+HybridPrefetcher::metrics(const std::string &prefix, MetricMap &out) const
 {
-    Prefetcher::registerTelemetry(registry, prefix);
+    Prefetcher::metrics(prefix, out);
     for (std::size_t i = 0; i < engines_.size(); ++i)
-        engines_[i]->registerTelemetry(registry,
-                                       prefix + engine_keys_[i] + ".");
+        engines_[i]->metrics(prefix + engine_keys_[i] + ".", out);
 }
 
 } // namespace bingo

@@ -61,8 +61,8 @@ class HybridPrefetcher : public Prefetcher
     std::string name() const override { return "Hybrid"; }
 
     /** Own counters plus each engine's under `prefix<engine>.`. */
-    void registerTelemetry(telemetry::Registry &registry,
-                           const std::string &prefix) const override;
+    void metrics(const std::string &prefix,
+                 MetricMap &out) const override;
 
     /** Hosted engines (tests/diagnostics). */
     std::size_t engineCount() const { return engines_.size(); }

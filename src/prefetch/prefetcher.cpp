@@ -1,20 +1,15 @@
 #include "prefetch/prefetcher.hpp"
 
 #include "common/hash.hpp"
-#include "telemetry/registry.hpp"
 
 namespace bingo
 {
 
 void
-Prefetcher::registerTelemetry(telemetry::Registry &registry,
-                              const std::string &prefix) const
+Prefetcher::metrics(const std::string &prefix, MetricMap &out) const
 {
-    registry.probeGroup(
-        prefix, [this](std::map<std::string, std::uint64_t> &out) {
-            for (const auto &[name, value] : stats_.all())
-                out[name] = value;
-        });
+    for (const auto &[name, value] : stats_.all())
+        out[prefix + name] = value;
 }
 
 std::string

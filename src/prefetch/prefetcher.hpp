@@ -26,11 +26,6 @@
 namespace bingo
 {
 
-namespace telemetry
-{
-class Registry;
-} // namespace telemetry
-
 /** One LLC demand access as seen by a prefetcher. */
 struct PrefetchAccess
 {
@@ -81,13 +76,11 @@ class Prefetcher
     StatSet &stats() { return stats_; }
 
     /**
-     * Register this prefetcher's StatSet as a probe group under
-     * `prefix` — counters are read live at snapshot time, so counters
-     * a subclass creates later still appear. Virtual so wrappers can
-     * expose both their own and the wrapped model's counters.
+     * Report this prefetcher's StatSet into `out` under `prefix`.
+     * Virtual so wrappers can report both their own and the wrapped
+     * models' counters.
      */
-    virtual void registerTelemetry(telemetry::Registry &registry,
-                                   const std::string &prefix) const;
+    virtual void metrics(const std::string &prefix, MetricMap &out) const;
 
   protected:
     PrefetcherConfig config_;

@@ -168,7 +168,8 @@ maybeExportTelemetry(const SweepJob &job, System &system,
                                     meta.prefetcher) +
         "_" + jobFingerprint(job).substr(0, 12);
     try {
-        telemetry::writeRunTelemetry(dir, meta, *system.telemetry());
+        telemetry::writeRunTelemetry(dir, meta, *system.telemetry(),
+                                     system.metrics());
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
     }

@@ -101,72 +101,12 @@ struct IdentityWriter
     }
 };
 
-/** Cache counters in a fixed order shared by store and load. */
-void
-cacheFields(const CacheStats &stats,
-            std::vector<const std::uint64_t *> &out)
-{
-    out = {&stats.demand_accesses,
-           &stats.demand_hits,
-           &stats.demand_misses,
-           &stats.late_prefetch_hits,
-           &stats.mshr_merges,
-           &stats.mshr_stall_fetches,
-           &stats.prefetch_requests,
-           &stats.prefetch_drops,
-           &stats.prefetch_drop_present,
-           &stats.prefetch_drop_inflight,
-           &stats.prefetch_drop_mshr,
-           &stats.prefetch_fills,
-           &stats.useful_prefetches,
-           &stats.useless_prefetches,
-           &stats.late_useful_prefetches,
-           &stats.writebacks,
-           &stats.evictions,
-           &stats.demand_miss_latency};
-}
-
-void
-dramFields(const DramStats &stats,
-           std::vector<const std::uint64_t *> &out)
-{
-    out = {&stats.reads,         &stats.writes,
-           &stats.row_hits,      &stats.row_misses,
-           &stats.row_conflicts, &stats.bus_busy_cycles,
-           &stats.queue_delay_cycles};
-}
-
-void
-writeStatsLine(std::ostream &out, const char *label,
-               const std::vector<const std::uint64_t *> &fields)
-{
-    out << label;
-    for (const std::uint64_t *field : fields)
-        out << ' ' << *field;
-    out << '\n';
-}
-
 /** Expect `keyword` as the next token; false on anything else. */
 bool
 expect(std::istream &in, const char *keyword)
 {
     std::string token;
     return static_cast<bool>(in >> token) && token == keyword;
-}
-
-bool
-readStatsLine(std::istream &in, const char *label,
-              const std::vector<const std::uint64_t *> &fields)
-{
-    if (!expect(in, label))
-        return false;
-    for (const std::uint64_t *field : fields) {
-        std::uint64_t value;
-        if (!(in >> value))
-            return false;
-        *const_cast<std::uint64_t *>(field) = value;
-    }
-    return true;
 }
 
 } // namespace
@@ -268,15 +208,18 @@ journalDecode(const std::string &text, const std::string &fingerprint,
     if (!expect(in, "instructions") || !(in >> result.instructions))
         return false;
 
-    std::vector<const std::uint64_t *> fields;
-    cacheFields(result.llc, fields);
-    if (!readStatsLine(in, "llc", fields))
-        return false;
-    cacheFields(result.l1d, fields);
-    if (!readStatsLine(in, "l1d", fields))
-        return false;
-    dramFields(result.dram, fields);
-    if (!readStatsLine(in, "dram", fields))
+    // One line per stats struct: its label, then its counters in
+    // visitCounters order.
+    const auto readCounters = [&in](const char *label, auto &stats) {
+        bool ok = expect(in, label);
+        visitCounters(stats, [&](const char *, std::uint64_t &value) {
+            ok = ok && static_cast<bool>(in >> value);
+        });
+        return ok;
+    };
+    if (!readCounters("llc", result.llc) ||
+        !readCounters("l1d", result.l1d) ||
+        !readCounters("dram", result.dram))
         return false;
 
     if (!expect(in, "storage") ||
@@ -324,13 +267,17 @@ journalEncode(const std::string &fingerprint, const RunResult &result)
     out << std::dec << '\n';
     out << "instructions " << result.instructions << '\n';
 
-    std::vector<const std::uint64_t *> fields;
-    cacheFields(result.llc, fields);
-    writeStatsLine(out, "llc", fields);
-    cacheFields(result.l1d, fields);
-    writeStatsLine(out, "l1d", fields);
-    dramFields(result.dram, fields);
-    writeStatsLine(out, "dram", fields);
+    const auto writeCounters = [&out](const char *label,
+                                      const auto &stats) {
+        out << label;
+        visitCounters(stats, [&out](const char *, std::uint64_t value) {
+            out << ' ' << value;
+        });
+        out << '\n';
+    };
+    writeCounters("llc", result.llc);
+    writeCounters("l1d", result.l1d);
+    writeCounters("dram", result.dram);
 
     out << "storage " << result.prefetch_storage_bytes << '\n';
     if (result.degraded) {

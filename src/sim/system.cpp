@@ -342,48 +342,33 @@ System::enableTelemetry(const telemetry::Options &options)
     telemetry_ = std::make_unique<telemetry::Telemetry>(options);
     // Prefetchers fill into the LLC, so timeliness is tracked there.
     llc_->setLifecycleTracker(&telemetry_->lifecycle());
+}
 
-    telemetry::Registry &registry = telemetry_->registry();
-    llc_->registerTelemetry(registry);
+MetricMap
+System::metrics() const
+{
+    MetricMap out;
+    llc_->metrics(out);
     for (const auto &l1 : l1ds_)
-        l1->registerTelemetry(registry);
-    dram_->registerTelemetry(registry);
+        l1->metrics(out);
+    dram_->metrics(out);
     for (const auto &core : cores_)
-        core->registerTelemetry(registry);
+        core->metrics(out);
     for (CoreId c = 0; c < config_.num_cores; ++c) {
-        if (prefetchers_[c]) {
-            prefetchers_[c]->registerTelemetry(
-                registry, "pf" + std::to_string(c) + ".");
-        }
+        if (prefetchers_[c])
+            prefetchers_[c]->metrics("pf" + std::to_string(c) + ".", out);
     }
-    registry.probeGroup(
-        "trace_cache.",
-        [](std::map<std::string, std::uint64_t> &out) {
-            const TraceCacheStats stats =
-                TraceCache::instance().stats();
-            out["hits"] = stats.hits;
-            out["misses"] = stats.misses;
-            out["evictions"] = stats.evictions;
-            out["bypasses"] = stats.bypasses;
-            out["buffers"] = stats.buffers;
-            out["bytes"] = stats.bytes;
-            out["records_generated"] = stats.records_generated;
-        });
-
-    if (chaos_) {
-        registry.probeGroup(
-            "chaos.",
-            [this](std::map<std::string, std::uint64_t> &out) {
-                const chaos::ChaosCounters &c = chaos_->counters();
-                out["trace_corruptions"] = c.trace_corruptions;
-                out["dram_delays"] = c.dram_delays;
-                out["dram_drops"] = c.dram_drops;
-                out["metadata_flips"] = c.metadata_flips;
-                out["mshr_spikes"] = c.mshr_spikes;
-                out["injected_prefetcher_faults"] =
-                    c.injected_prefetcher_faults;
-            });
-    }
+    const TraceCacheStats trace = TraceCache::instance().stats();
+    out["trace_cache.hits"] = trace.hits;
+    out["trace_cache.misses"] = trace.misses;
+    out["trace_cache.evictions"] = trace.evictions;
+    out["trace_cache.bypasses"] = trace.bypasses;
+    out["trace_cache.buffers"] = trace.buffers;
+    out["trace_cache.bytes"] = trace.bytes;
+    out["trace_cache.records_generated"] = trace.records_generated;
+    if (chaos_)
+        addCounters(out, "chaos.", chaos_->counters());
+    return out;
 }
 
 telemetry::EpochSnapshot

@@ -21,6 +21,7 @@
 #include "chaos/shadow_memory.hpp"
 #include "common/config.hpp"
 #include "common/event_queue.hpp"
+#include "common/stats.hpp"
 #include "core/ooo_core.hpp"
 #include "mem/dram.hpp"
 #include "prefetch/prefetcher.hpp"
@@ -129,12 +130,21 @@ class System
     void checkInvariants() const;
 
     /**
-     * Opt into telemetry: attach the prefetch lifecycle tracker to
-     * the LLC and register every component's probes. Must be called
-     * before run(). A system without telemetry pays exactly one
+     * Opt into telemetry: create the run's epoch series and prefetch
+     * lifecycle tracker, and attach the tracker to the LLC. Must be
+     * called before run(). A system without telemetry pays exactly one
      * null-pointer branch at each observation site.
      */
     void enableTelemetry(const telemetry::Options &options);
+
+    /**
+     * Every component's counters by name, as run.json's `metrics`:
+     * "LLC.", "L1D<i>.", "dram.", "core<i>.", "pf<i>." (each
+     * prefetcher's StatSet), "trace_cache." (the process-wide trace
+     * cache) and, with chaos on, "chaos.". Read at call time; cold
+     * path only.
+     */
+    MetricMap metrics() const;
 
     /** The run's telemetry; nullptr unless enableTelemetry'd. */
     telemetry::Telemetry *telemetry() { return telemetry_.get(); }

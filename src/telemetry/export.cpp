@@ -221,7 +221,7 @@ epochJsonLine(const EpochRecord &record, double frequency_ghz)
 
 void
 writeRunTelemetry(const std::string &dir, const RunMeta &meta,
-                  const Telemetry &telemetry)
+                  const Telemetry &telemetry, const MetricMap &metrics)
 {
     namespace fs = std::filesystem;
     std::error_code ec;
@@ -244,7 +244,7 @@ writeRunTelemetry(const std::string &dir, const RunMeta &meta,
         atomicWrite(root / (base + ".epochs.jsonl"), out.str());
     }
 
-    // 2. Run summary: meta, registry snapshot, lifecycle, histograms.
+    // 2. Run summary: meta, counters, lifecycle.
     {
         std::ostringstream out;
         out << "{\"workload\":" << jsonString(meta.workload)
@@ -265,22 +265,11 @@ writeRunTelemetry(const std::string &dir, const RunMeta &meta,
             << ",\"epochs\":" << telemetry.epochs().records().size();
         out << ",\"metrics\":{";
         bool first = true;
-        for (const auto &[name, value] :
-             telemetry.registry().snapshot()) {
+        for (const auto &[name, value] : metrics) {
             if (!first)
                 out << ',';
             first = false;
             out << jsonString(name) << ':' << value;
-        }
-        out << "},\"histograms\":{";
-        first = true;
-        for (const auto &[name, histogram] :
-             telemetry.registry().histograms()) {
-            if (!first)
-                out << ',';
-            first = false;
-            out << jsonString(name) << ':'
-                << histogramJson(histogram.data());
         }
         out << "},\"prefetch_lifecycle\":"
             << lifecycleJson(telemetry.lifecycle()) << "}\n";

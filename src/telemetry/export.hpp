@@ -7,9 +7,10 @@
  *    counter deltas plus derived rates (IPC, MPKI, DRAM GB/s,
  *    row-hit rate), one line per epoch so notebooks can stream it
  *    with `pandas.read_json(lines=True)`.
- *  - `<base>.run.json` — run metadata, the full registry snapshot,
- *    the prefetch-timeliness verdicts, and every histogram with its
- *    per-bucket counts and percentile summary.
+ *  - `<base>.run.json` — run metadata, every component counter by
+ *    name (System::metrics()), and the prefetch-timeliness verdicts
+ *    with the lifecycle histograms' per-bucket counts and percentile
+ *    summaries.
  *  - `<base>.trace.json` — the epoch series re-shaped as Chrome
  *    trace-format counter events (load in `chrome://tracing` or
  *    Perfetto; simulated time mapped to microseconds via the core
@@ -28,6 +29,7 @@
 #include <filesystem>
 #include <string>
 
+#include "common/stats.hpp"
 #include "telemetry/epoch.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/telemetry.hpp"
@@ -55,11 +57,13 @@ struct RunMeta
 
 /**
  * Write `<base>.epochs.jsonl`, `<base>.run.json` and
- * `<base>.trace.json` into `dir` (created if missing). Throws
- * std::runtime_error on I/O failure.
+ * `<base>.trace.json` into `dir` (created if missing); `metrics` is
+ * run.json's `metrics` object. Throws std::runtime_error on I/O
+ * failure.
  */
 void writeRunTelemetry(const std::string &dir, const RunMeta &meta,
-                       const Telemetry &telemetry);
+                       const Telemetry &telemetry,
+                       const MetricMap &metrics);
 
 /** Filesystem-safe stem: [A-Za-z0-9._-], everything else to '_'. */
 std::string sanitizeFileStem(const std::string &name);

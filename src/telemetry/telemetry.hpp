@@ -3,12 +3,13 @@
  * Telemetry bundle and environment knobs — the opt-in observability
  * subsystem's front door.
  *
- * A `Telemetry` instance is owned by one System and groups the three
- * collectors: the metric registry (counters/histograms/probes of
- * every component), the epoch sampler (per-epoch time-series), and
- * the prefetch lifecycle tracker (timeliness). It is deliberately
+ * A `Telemetry` instance is owned by one System and groups the two
+ * collectors: the epoch sampler (per-epoch time-series) and the
+ * prefetch lifecycle tracker (timeliness). It is deliberately
  * per-System, not global: sweep workers run many Systems concurrently
- * and each run's telemetry must be isolated and deterministic.
+ * and each run's telemetry must be isolated and deterministic. The
+ * end-of-run counters need no collector: System::metrics() reads
+ * them off the components when a run is exported.
  *
  * Knobs:
  *  - BINGO_TELEMETRY_DIR: setting it makes every sweep job collect
@@ -31,7 +32,6 @@
 
 #include "telemetry/epoch.hpp"
 #include "telemetry/lifecycle.hpp"
-#include "telemetry/registry.hpp"
 
 namespace bingo::telemetry
 {
@@ -60,9 +60,6 @@ class Telemetry
 
     const Options &options() const { return options_; }
 
-    Registry &registry() { return registry_; }
-    const Registry &registry() const { return registry_; }
-
     EpochSeries &epochs() { return epochs_; }
     const EpochSeries &epochs() const { return epochs_; }
 
@@ -71,7 +68,6 @@ class Telemetry
 
   private:
     Options options_;
-    Registry registry_{true};
     EpochSeries epochs_;
     PrefetchLifecycle lifecycle_;
 };

@@ -37,6 +37,7 @@
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/system.hpp"
+#include "test_util.hpp"
 #include "workload/trace_cache.hpp"
 
 namespace bingo
@@ -73,39 +74,10 @@ runWithSkip(PrefetcherKind kind, bool skip, Cycle *final_cycle,
     return collectResult(system, "Data Serving");
 }
 
-/** Every simulation-visible counter of two runs must agree. */
-void
-expectIdenticalResults(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.core_ipc, b.core_ipc);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.llc.demand_accesses, b.llc.demand_accesses);
-    EXPECT_EQ(a.llc.demand_misses, b.llc.demand_misses);
-    EXPECT_EQ(a.llc.late_prefetch_hits, b.llc.late_prefetch_hits);
-    EXPECT_EQ(a.llc.useful_prefetches, b.llc.useful_prefetches);
-    EXPECT_EQ(a.llc.useless_prefetches, b.llc.useless_prefetches);
-    EXPECT_EQ(a.llc.late_useful_prefetches,
-              b.llc.late_useful_prefetches);
-    EXPECT_EQ(a.llc.prefetch_fills, b.llc.prefetch_fills);
-    EXPECT_EQ(a.llc.demand_miss_latency, b.llc.demand_miss_latency);
-    EXPECT_EQ(a.l1d.demand_accesses, b.l1d.demand_accesses);
-    EXPECT_EQ(a.l1d.demand_misses, b.l1d.demand_misses);
-    EXPECT_EQ(a.dram.reads, b.dram.reads);
-    EXPECT_EQ(a.dram.writes, b.dram.writes);
-    EXPECT_EQ(a.dram.row_hits, b.dram.row_hits);
-    EXPECT_EQ(a.dram.queue_delay_cycles, b.dram.queue_delay_cycles);
-}
-
 TEST(Determinism, IdenticalSeedsIdenticalRuns)
 {
-    const RunResult a = runOnce(PrefetcherKind::Bingo, 7);
-    const RunResult b = runOnce(PrefetcherKind::Bingo, 7);
-    EXPECT_EQ(a.core_ipc, b.core_ipc);
-    EXPECT_EQ(a.llc.demand_misses, b.llc.demand_misses);
-    EXPECT_EQ(a.llc.useful_prefetches, b.llc.useful_prefetches);
-    EXPECT_EQ(a.llc.useless_prefetches, b.llc.useless_prefetches);
-    EXPECT_EQ(a.dram.reads, b.dram.reads);
-    EXPECT_EQ(a.dram.row_hits, b.dram.row_hits);
+    test::expectSameRun(runOnce(PrefetcherKind::Bingo, 7),
+                        runOnce(PrefetcherKind::Bingo, 7));
 }
 
 TEST(Determinism, DifferentSeedsDifferentRuns)
@@ -134,7 +106,7 @@ TEST(Determinism, TelemetryDoesNotPerturbResults)
     system.run(10000, 20000);
     const RunResult observed = collectResult(system, "Data Serving");
 
-    expectIdenticalResults(plain, observed);
+    test::expectSameRun(plain, observed);
 
     // The collectors must actually have been collecting.
     ASSERT_NE(system.telemetry(), nullptr);
@@ -171,7 +143,7 @@ TEST_P(SkipEquivalenceTest, SkipOnMatchesSkipOffBitIdentically)
     const RunResult skipped =
         runWithSkip(GetParam(), true, &skipped_end, &skipped_jumps);
 
-    expectIdenticalResults(stepped, skipped);
+    test::expectSameRun(stepped, skipped);
     EXPECT_EQ(stepped_end, skipped_end);
     // The toggle must actually change the execution strategy, or this
     // test proves nothing.
@@ -264,27 +236,14 @@ runChaos(bool skip, std::uint64_t chaos_seed,
     return collectResult(system, "Data Serving");
 }
 
-void
-expectIdenticalChaosCounters(const chaos::ChaosCounters &a,
-                             const chaos::ChaosCounters &b)
-{
-    EXPECT_EQ(a.trace_corruptions, b.trace_corruptions);
-    EXPECT_EQ(a.dram_delays, b.dram_delays);
-    EXPECT_EQ(a.dram_drops, b.dram_drops);
-    EXPECT_EQ(a.metadata_flips, b.metadata_flips);
-    EXPECT_EQ(a.mshr_spikes, b.mshr_spikes);
-    EXPECT_EQ(a.injected_prefetcher_faults,
-              b.injected_prefetcher_faults);
-}
-
 TEST(ChaosDeterminism, SameSeedsSameFaultsSameRun)
 {
     chaos::ChaosCounters ca;
     chaos::ChaosCounters cb;
     const RunResult a = runChaos(true, 99, &ca, nullptr);
     const RunResult b = runChaos(true, 99, &cb, nullptr);
-    expectIdenticalResults(a, b);
-    expectIdenticalChaosCounters(ca, cb);
+    test::expectSameRun(a, b);
+    EXPECT_EQ(test::counterMap(ca), test::counterMap(cb));
     // The injector must actually have been injecting.
     EXPECT_GT(ca.trace_corruptions, 0u);
 }
@@ -299,8 +258,9 @@ TEST(ChaosDeterminism, SkipOnMatchesSkipOffUnderChaos)
         runChaos(false, 99, &stepped_counters, &stepped_jumps);
     const RunResult skipped =
         runChaos(true, 99, &skipped_counters, &skipped_jumps);
-    expectIdenticalResults(stepped, skipped);
-    expectIdenticalChaosCounters(stepped_counters, skipped_counters);
+    test::expectSameRun(stepped, skipped);
+    EXPECT_EQ(test::counterMap(stepped_counters),
+              test::counterMap(skipped_counters));
     // Same faults, but genuinely different execution strategies.
     EXPECT_EQ(stepped_jumps, 0u);
     EXPECT_GT(skipped_jumps, 0u);
@@ -313,13 +273,7 @@ TEST(ChaosDeterminism, DifferentChaosSeedDifferentFaults)
     const RunResult a = runChaos(true, 99, &ca, nullptr);
     const RunResult b = runChaos(true, 100, &cb, nullptr);
     const bool counters_differ =
-        ca.trace_corruptions != cb.trace_corruptions ||
-        ca.dram_delays != cb.dram_delays ||
-        ca.dram_drops != cb.dram_drops ||
-        ca.metadata_flips != cb.metadata_flips ||
-        ca.mshr_spikes != cb.mshr_spikes ||
-        ca.injected_prefetcher_faults !=
-            cb.injected_prefetcher_faults;
+        test::counterMap(ca) != test::counterMap(cb);
     const bool results_differ =
         a.llc.demand_misses != b.llc.demand_misses ||
         a.dram.reads != b.dram.reads;

@@ -305,6 +305,19 @@ TEST(DistProtocol, JobDecodeRejectsOutOfRangeEnumsAndEngineLists)
     EXPECT_FALSE(decodes(bad));
     bad.prefetcher.hybrid_engines.resize(8);
     EXPECT_TRUE(decodes(bad));
+
+    // dram.read_queue_entries is fixed: its slot must carry 48. It
+    // follows data_transfer (14) and precedes the prefetcher kind (0).
+    WireJob wire;
+    wire.fingerprint = "0123456789abcdef";
+    wire.job.workload = "em3d";
+    std::string payload = encodeJob(wire);
+    const std::size_t slot = payload.find(" 14 48 0 ");
+    ASSERT_NE(slot, std::string::npos);
+    ASSERT_EQ(payload.rfind(" 14 48 0 "), slot);
+    payload.replace(slot, 9, " 14 32 0 ");
+    WireJob decoded;
+    EXPECT_FALSE(decodeJob(payload, decoded));
 }
 
 TEST(DistProtocol, ResultRoundTripsAndRejectsGarbage)

@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 #include "common/footprint.hpp"
@@ -101,36 +100,6 @@ TEST(Footprint, FullWidth64)
     EXPECT_EQ(fp.count(), 64u);
     fp.clear(63);
     EXPECT_EQ(fp.count(), 63u);
-}
-
-/** The batch operations agree with the one-at-a-time ops. */
-TEST(Footprint, BatchOpsMatchElementwise)
-{
-    std::mt19937_64 rng(4242);
-    std::vector<std::uint64_t> raws;
-    for (int i = 0; i < 9; ++i)
-        raws.push_back(rng() & 0xFFFFFFFFu);  // 32-block footprints.
-
-    Footprint union_ref(kBlocksPerRegion);
-    Footprint inter_ref =
-        Footprint::fromRaw(~std::uint64_t{0}, kBlocksPerRegion);
-    std::uint64_t total_ref = 0;
-    for (std::uint64_t raw : raws) {
-        const Footprint fp =
-            Footprint::fromRaw(raw, kBlocksPerRegion);
-        union_ref = union_ref | fp;
-        inter_ref = inter_ref & fp;
-        total_ref += fp.count();
-    }
-
-    const Footprint union_got =
-        Footprint::unionOf(raws.data(), raws.size());
-    const Footprint inter_got =
-        Footprint::intersectOf(raws.data(), raws.size());
-    EXPECT_EQ(union_got.raw(), union_ref.raw());
-    EXPECT_EQ(inter_got.raw(), inter_ref.raw());
-    EXPECT_EQ(Footprint::totalCount(raws.data(), raws.size()),
-              total_ref);
 }
 
 TEST(FootprintVote, EmptyResolvesEmpty)

@@ -16,6 +16,7 @@
 
 #include "sim/experiment.hpp"
 #include "sim/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace
 {
@@ -31,43 +32,6 @@ smallOptions(std::uint64_t seed = 42)
     options.measure_instructions = 16000;
     options.seed = seed;
     return options;
-}
-
-void
-expectSameStats(const CacheStats &a, const CacheStats &b)
-{
-    EXPECT_EQ(a.demand_accesses, b.demand_accesses);
-    EXPECT_EQ(a.demand_hits, b.demand_hits);
-    EXPECT_EQ(a.demand_misses, b.demand_misses);
-    EXPECT_EQ(a.late_prefetch_hits, b.late_prefetch_hits);
-    EXPECT_EQ(a.mshr_merges, b.mshr_merges);
-    EXPECT_EQ(a.prefetch_requests, b.prefetch_requests);
-    EXPECT_EQ(a.prefetch_drops, b.prefetch_drops);
-    EXPECT_EQ(a.prefetch_fills, b.prefetch_fills);
-    EXPECT_EQ(a.useful_prefetches, b.useful_prefetches);
-    EXPECT_EQ(a.useless_prefetches, b.useless_prefetches);
-    EXPECT_EQ(a.writebacks, b.writebacks);
-    EXPECT_EQ(a.evictions, b.evictions);
-    EXPECT_EQ(a.demand_miss_latency, b.demand_miss_latency);
-}
-
-void
-expectSameResult(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.kind, b.kind);
-    ASSERT_EQ(a.core_ipc.size(), b.core_ipc.size());
-    for (std::size_t c = 0; c < a.core_ipc.size(); ++c)
-        EXPECT_EQ(a.core_ipc[c], b.core_ipc[c]);  // Bitwise, not near.
-    EXPECT_EQ(a.instructions, b.instructions);
-    expectSameStats(a.llc, b.llc);
-    expectSameStats(a.l1d, b.l1d);
-    EXPECT_EQ(a.dram.reads, b.dram.reads);
-    EXPECT_EQ(a.dram.writes, b.dram.writes);
-    EXPECT_EQ(a.dram.row_hits, b.dram.row_hits);
-    EXPECT_EQ(a.dram.row_misses, b.dram.row_misses);
-    EXPECT_EQ(a.dram.queue_delay_cycles, b.dram.queue_delay_cycles);
-    EXPECT_EQ(a.prefetch_storage_bytes, b.prefetch_storage_bytes);
 }
 
 std::vector<SweepJob>
@@ -133,7 +97,7 @@ TEST(ParallelRunner, SerialAndParallelSweepsAreBitIdentical)
     ASSERT_EQ(parallel.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         SCOPED_TRACE("job " + std::to_string(i));
-        expectSameResult(serial[i], parallel[i]);
+        test::expectSameRun(serial[i], parallel[i]);
     }
 }
 
@@ -221,17 +185,19 @@ TEST(BaselineCache, KeyIncludesOptionsNotJustWorkloadName)
 TEST(BaselineCache, KeyIncludesEverySubstrateField)
 {
     // The memo is keyed by the baseline job's fingerprint, so a config
-    // differing in a substrate field that a hand-written key once left
-    // out (the DRAM read queue) gets a baseline of its own.
+    // differing in any substrate field (here a DRAM timing) gets a
+    // baseline of its own, and it is that config's result.
     const ExperimentOptions options = smallOptions(/*seed=*/780);
     const RunResult &table_one =
         baselineFor("Streaming", SystemConfig{}, options);
 
-    SystemConfig shallow;
-    shallow.dram.read_queue_entries = 1;
-    const RunResult &result = baselineFor("Streaming", shallow, options);
+    SystemConfig slow;
+    slow.dram.t_cas = 80;
+    const RunResult &result = baselineFor("Streaming", slow, options);
     EXPECT_NE(&result, &table_one);
-    expectSameResult(result, runWorkload("Streaming", shallow, options));
+    EXPECT_NE(journalEncode("run", result),
+              journalEncode("run", table_one));
+    test::expectSameRun(result, runWorkload("Streaming", slow, options));
 }
 
 TEST(BaselineCache, SweepRunsRequestedBaselinesAsJobsAndMemoizesThem)
@@ -260,7 +226,7 @@ TEST(BaselineCache, SweepRunsRequestedBaselinesAsJobsAndMemoizesThem)
     const RunResult &base = baselineFor("em3d", SystemConfig{}, options);
     EXPECT_EQ(completedRuns() - runs_before, jobs.size() + 1);
     EXPECT_EQ(base.kind, PrefetcherKind::None);
-    expectSameResult(base,
+    test::expectSameRun(base,
                      runWorkload("em3d", SystemConfig{}, options));
 
     // Memoized baselines are not run again by a later sweep.

@@ -41,7 +41,6 @@ TEST(SetAssocTable, UnwrittenTableReadsEmpty)
     EXPECT_EQ(table.find(3, 0xaa), nullptr);
     EXPECT_FALSE(table.erase(3, 0xaa));
     EXPECT_EQ(table.countIf(3, any), 0u);
-    EXPECT_EQ(table.mostRecentIf(3, any), nullptr);
     EXPECT_FALSE(std::as_const(table).entryAt(7).valid);
     table.clear();
     EXPECT_THROW(table.find(4, 0xaa), SimError);
@@ -85,38 +84,6 @@ TEST(SetAssocTable, FindWithoutTouchDoesNotPromote)
     table.insert(0, 3, 30);             // Evicts 1.
     EXPECT_EQ(table.find(0, 1), nullptr);
     EXPECT_NE(table.find(0, 2), nullptr);
-}
-
-TEST(SetAssocTable, RecencyScansFindMruAndLruInOnePass)
-{
-    SetAssocTable<int> table(1, 4);
-    table.insert(0, 1, 10);
-    table.insert(0, 2, 20);
-    table.insert(0, 3, 30);
-    table.find(0, 1);  // 1 becomes MRU, 2 stays LRU.
-
-    const auto all = [](const auto &) { return true; };
-    const auto *mru = table.mostRecentIf(0, all);
-    ASSERT_NE(mru, nullptr);
-    EXPECT_EQ(mru->data, 10);
-    const auto *lru = table.leastRecentIf(0, all);
-    ASSERT_NE(lru, nullptr);
-    EXPECT_EQ(lru->data, 20);
-}
-
-TEST(SetAssocTable, RecencyScansIgnoreNonMatches)
-{
-    SetAssocTable<int> table(1, 4);
-    table.insert(0, 1, 1);
-    table.insert(0, 2, 2);
-    table.insert(0, 3, 3);
-    const auto odd = [](const auto &e) { return e.data % 2 == 1; };
-    EXPECT_EQ(table.countIf(0, odd), 2u);
-    EXPECT_EQ(table.mostRecentIf(0, odd)->data, 3);
-    EXPECT_EQ(table.leastRecentIf(0, odd)->data, 1);
-    const auto none = [](const auto &e) { return e.data > 99; };
-    EXPECT_EQ(table.countIf(0, none), 0u);
-    EXPECT_EQ(table.mostRecentIf(0, none), nullptr);
 }
 
 TEST(SetAssocTable, ForEachIfVisitsEveryMatchOnce)

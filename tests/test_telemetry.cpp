@@ -1,10 +1,10 @@
 /**
  * @file
  * Telemetry subsystem tests: log-histogram bucketing and percentiles,
- * registry gating and probes, epoch series boundary handling (warmup
- * -> measure re-basing included), prefetch lifecycle verdicts both
- * unit-level and through a real Cache, exporter output round-trips,
- * and the environment knobs.
+ * epoch series boundary handling (warmup -> measure re-basing
+ * included), prefetch lifecycle verdicts both unit-level and through a
+ * real Cache, exporter output round-trips, System::metrics() against
+ * the component counters, and the environment knobs.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "telemetry/export.hpp"
 #include "telemetry/histogram.hpp"
 #include "telemetry/lifecycle.hpp"
-#include "telemetry/registry.hpp"
 #include "telemetry/telemetry.hpp"
 #include "test_util.hpp"
 
@@ -36,7 +35,6 @@ using telemetry::EpochSeries;
 using telemetry::EpochSnapshot;
 using telemetry::LogHistogram;
 using telemetry::PrefetchLifecycle;
-using telemetry::Registry;
 using test::FakeLower;
 
 TEST(LogHistogramTest, BucketMapping)
@@ -115,52 +113,6 @@ TEST(LogHistogramTest, MergeAndClear)
     EXPECT_EQ(a.count(), 0u);
     EXPECT_EQ(a.sum(), 0u);
     EXPECT_EQ(a.maxValue(), 0u);
-}
-
-TEST(RegistryTest, DisabledHandlesAreInert)
-{
-    Registry registry(false);
-    telemetry::Counter &counter = registry.counter("c");
-    telemetry::Histogram &histogram = registry.histogram("h");
-    counter.add(5);
-    histogram.record(7);
-    EXPECT_EQ(counter.value(), 0u);
-    EXPECT_EQ(histogram.data().count(), 0u);
-
-    registry.setEnabled(true);
-    counter.add(5);
-    histogram.record(7);
-    EXPECT_EQ(counter.value(), 5u);
-    EXPECT_EQ(histogram.data().count(), 1u);
-}
-
-TEST(RegistryTest, HandlesAreStableAndNamed)
-{
-    Registry registry;
-    telemetry::Counter &a = registry.counter("x");
-    telemetry::Counter &b = registry.counter("x");
-    EXPECT_EQ(&a, &b);
-    a.add(3);
-    const auto snap = registry.snapshot();
-    ASSERT_EQ(snap.count("x"), 1u);
-    EXPECT_EQ(snap.at("x"), 3u);
-}
-
-TEST(RegistryTest, ProbesEvaluateLiveAtSnapshot)
-{
-    Registry registry;
-    std::uint64_t live = 1;
-    registry.probe("single", [&live] { return live; });
-    registry.probeGroup(
-        "grp.", [&live](std::map<std::string, std::uint64_t> &out) {
-            out["a"] = live * 10;
-            out["b"] = live * 100;
-        });
-    live = 7;
-    const auto snap = registry.snapshot();
-    EXPECT_EQ(snap.at("single"), 7u);
-    EXPECT_EQ(snap.at("grp.a"), 70u);
-    EXPECT_EQ(snap.at("grp.b"), 700u);
 }
 
 EpochSnapshot
@@ -454,8 +406,6 @@ TEST(ExportTest, WriteRunTelemetryEmitsThreeFiles)
     telemetry.epochs().beginPhase("measure", 0, snapAt(0), 100);
     telemetry.epochs().sample(50, snapAt(120, 4));
     telemetry.epochs().endPhase(80, snapAt(180, 6));
-    telemetry.registry().counter("custom.counter").add(9);
-    telemetry.registry().histogram("custom.hist").record(33);
     telemetry.lifecycle().onIssue(0x40, 0);
     telemetry.lifecycle().onFill(0x40, 90);
     telemetry.lifecycle().onDemandHit(0x40, 95);
@@ -466,7 +416,8 @@ TEST(ExportTest, WriteRunTelemetryEmitsThreeFiles)
     meta.seed = 7;
     meta.frequency_ghz = 3.2;
     meta.base_name = "roundtrip";
-    telemetry::writeRunTelemetry(dir.string(), meta, telemetry);
+    telemetry::writeRunTelemetry(dir.string(), meta, telemetry,
+                                 {{"custom.counter", 9}});
 
     std::ifstream epochs(dir / "roundtrip.epochs.jsonl");
     ASSERT_TRUE(epochs.good());
@@ -566,12 +517,20 @@ TEST(TelemetrySystemTest, EpochSeriesAlignsWithPhases)
     EXPECT_EQ(measure, 20000u);
     EXPECT_GE(measure_index, 20000u / options.epoch_instructions);
 
-    // The registry snapshot agrees with the component stats.
-    const auto snap = system.telemetry()->registry().snapshot();
-    EXPECT_EQ(snap.at("LLC.demand_accesses"),
-              system.llc().stats().demand_accesses);
-    EXPECT_EQ(snap.at("core0.instructions"),
-              system.core(0).stats().instructions);
+    // run.json's metrics carry every counter of the components' lists
+    // under their prefixes, with the components' values.
+    const MetricMap metrics = system.metrics();
+    const auto expectReported = [&metrics](const std::string &prefix,
+                                           const auto &stats) {
+        for (const auto &[name, value] : test::counterMap(stats)) {
+            ASSERT_EQ(metrics.count(prefix + name), 1u) << prefix + name;
+            EXPECT_EQ(metrics.at(prefix + name), value) << prefix + name;
+        }
+    };
+    expectReported("LLC.", system.llc().stats());
+    expectReported("L1D0.", system.l1d(0).stats());
+    expectReported("dram.", system.dram().stats());
+    expectReported("core0.", system.core(0).stats());
 }
 
 } // namespace

@@ -19,6 +19,7 @@
 #include "sim/metrics.hpp"
 #include "sim/system.hpp"
 #include "sim/translation.hpp"
+#include "test_util.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace_cache.hpp"
 
@@ -265,23 +266,6 @@ runServing(std::uint64_t budget)
     return collectResult(system, "Data Serving");
 }
 
-/** Every simulation-visible counter of two runs must agree. */
-void
-expectIdenticalRuns(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.core_ipc, b.core_ipc);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.llc.demand_accesses, b.llc.demand_accesses);
-    EXPECT_EQ(a.llc.demand_misses, b.llc.demand_misses);
-    EXPECT_EQ(a.llc.useful_prefetches, b.llc.useful_prefetches);
-    EXPECT_EQ(a.llc.useless_prefetches, b.llc.useless_prefetches);
-    EXPECT_EQ(a.llc.prefetch_fills, b.llc.prefetch_fills);
-    EXPECT_EQ(a.llc.demand_miss_latency, b.llc.demand_miss_latency);
-    EXPECT_EQ(a.dram.reads, b.dram.reads);
-    EXPECT_EQ(a.dram.row_hits, b.dram.row_hits);
-    EXPECT_EQ(a.dram.queue_delay_cycles, b.dram.queue_delay_cycles);
-}
-
 TEST_F(TraceCacheTest, CacheOnOffRunsAreBitIdentical)
 {
     const RunResult off = runServing(0);
@@ -297,8 +281,8 @@ TEST_F(TraceCacheTest, CacheOnOffRunsAreBitIdentical)
     const RunResult replay = collectResult(system, "Data Serving");
     const TraceCacheStats after = TraceCache::instance().stats();
 
-    expectIdenticalRuns(off, on);
-    expectIdenticalRuns(on, replay);
+    test::expectSameRun(off, on);
+    test::expectSameRun(on, replay);
     EXPECT_GT(after.hits, mid.hits);
 }
 
@@ -322,7 +306,7 @@ TEST_F(TraceCacheTest, ChaosScheduleUnchangedByCaching)
         system.run(10000, 20000);
         return collectResult(system, "Data Serving");
     };
-    expectIdenticalRuns(runChaos(0), runChaos(512ull << 20));
+    test::expectSameRun(runChaos(0), runChaos(512ull << 20));
 }
 
 } // namespace

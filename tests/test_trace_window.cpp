@@ -24,6 +24,7 @@
 #include "core/ooo_core.hpp"
 #include "mem/dram.hpp"
 #include "sim/translation.hpp"
+#include "test_util.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace_cache.hpp"
 
@@ -147,20 +148,6 @@ runWindowed(const std::vector<TraceRecord> &stream, std::size_t window)
     return RunState{core.stats(), now, l1d.stats(), llc.stats()};
 }
 
-void
-expectSameCacheStats(const CacheStats &a, const CacheStats &b,
-                     const std::string &label)
-{
-    EXPECT_EQ(a.demand_accesses, b.demand_accesses) << label;
-    EXPECT_EQ(a.demand_hits, b.demand_hits) << label;
-    EXPECT_EQ(a.demand_misses, b.demand_misses) << label;
-    EXPECT_EQ(a.mshr_merges, b.mshr_merges) << label;
-    EXPECT_EQ(a.mshr_stall_fetches, b.mshr_stall_fetches) << label;
-    EXPECT_EQ(a.writebacks, b.writebacks) << label;
-    EXPECT_EQ(a.evictions, b.evictions) << label;
-    EXPECT_EQ(a.demand_miss_latency, b.demand_miss_latency) << label;
-}
-
 TEST(TraceWindow, WindowSizeNeverChangesASimulation)
 {
     const std::vector<TraceRecord> stream = mixedStream(60000, 17);
@@ -177,22 +164,14 @@ TEST(TraceWindow, WindowSizeNeverChangesASimulation)
 
     for (const std::size_t window : {1, 3, 7}) {
         const RunState run = runWindowed(stream, window);
-        const std::string label = "window " + std::to_string(window);
-        EXPECT_EQ(run.core.instructions, reference.core.instructions)
-            << label;
-        EXPECT_EQ(run.core.loads, reference.core.loads) << label;
-        EXPECT_EQ(run.core.stores, reference.core.stores) << label;
-        EXPECT_EQ(run.core.branches, reference.core.branches) << label;
-        EXPECT_EQ(run.core.cycles, reference.core.cycles) << label;
-        EXPECT_EQ(run.core.rob_full_cycles,
-                  reference.core.rob_full_cycles)
-            << label;
-        EXPECT_EQ(run.core.lsq_full_cycles,
-                  reference.core.lsq_full_cycles)
-            << label;
-        EXPECT_EQ(run.now, reference.now) << label;
-        expectSameCacheStats(run.l1d, reference.l1d, label + " L1D");
-        expectSameCacheStats(run.llc, reference.llc, label + " LLC");
+        SCOPED_TRACE("window " + std::to_string(window));
+        EXPECT_EQ(test::counterMap(run.core),
+                  test::counterMap(reference.core));
+        EXPECT_EQ(run.now, reference.now);
+        EXPECT_EQ(test::counterMap(run.l1d),
+                  test::counterMap(reference.l1d));
+        EXPECT_EQ(test::counterMap(run.llc),
+                  test::counterMap(reference.llc));
     }
 }
 

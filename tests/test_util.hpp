@@ -1,19 +1,25 @@
 /**
  * @file
  * Shared test fixtures: a scriptable trace source, a controllable
- * fake memory level, and small builders for common configurations.
+ * fake memory level, small builders for common configurations, and
+ * the two ways tests compare runs.
  */
 
 #ifndef BINGO_TESTS_TEST_UTIL_HPP
 #define BINGO_TESTS_TEST_UTIL_HPP
+
+#include <gtest/gtest.h>
 
 #include <deque>
 #include <functional>
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/ooo_core.hpp"
+#include "sim/journal.hpp"
+#include "sim/metrics.hpp"
 
 namespace bingo::test
 {
@@ -110,6 +116,30 @@ inline Addr
 regionBlock(Addr region, unsigned offset)
 {
     return region * kRegionSize + static_cast<Addr>(offset) * kBlockSize;
+}
+
+/**
+ * Two runs agree bit for bit: their journal records, the bytes the
+ * journal oracles `diff -r`, are equal. That covers every counter,
+ * each core's IPC bits, the storage and the degraded verdict.
+ */
+inline void
+expectSameRun(const RunResult &a, const RunResult &b)
+{
+    EXPECT_EQ(journalEncode("run", a), journalEncode("run", b));
+}
+
+/**
+ * A stats struct's counters by name, through its visitCounters list;
+ * compare two with EXPECT_EQ to see any differing counter by name.
+ */
+template <typename Stats>
+MetricMap
+counterMap(const Stats &stats)
+{
+    MetricMap out;
+    addCounters(out, "", stats);
+    return out;
 }
 
 } // namespace bingo::test
