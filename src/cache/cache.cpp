@@ -372,9 +372,6 @@ Cache::handleFill(std::size_t slot, Cycle fill_cycle)
             stats_.demand_miss_latency += fill_cycle - cb.start;
         cb.fn(fill_cycle);
     }
-    // Park the callback vector's capacity for the next allocation;
-    // with it, a steady-state miss makes no heap round trips at all.
-    mshrs_.recycle(std::move(entry));
 
     // MSHRs freed: replay parked demand fetches. Parked accesses whose
     // block arrived meanwhile (or whose miss is already in flight) are
@@ -496,7 +493,6 @@ Cache::metrics(MetricMap &out) const
     addCounters(out, prefix, stats_);
     out[prefix + "timely_useful_prefetches"] =
         stats_.timelyUsefulPrefetches();
-    out[prefix + "mshr_occupancy"] = mshrs_.size();
     out[prefix + "prefetch_queue_depth"] = prefetch_queue_.size();
     out[prefix + "pending_fetches"] = pending_.size();
     out[prefix + "resident_blocks"] = residentBlocks();

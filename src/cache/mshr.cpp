@@ -33,7 +33,6 @@ MshrFile::MshrFile(std::size_t capacity, std::string name)
     free_slots_.reserve(capacity);
     for (std::size_t i = capacity; i > 0; --i)
         free_slots_.push_back(static_cast<std::uint32_t>(i - 1));
-    callback_pool_.reserve(capacity);
 }
 
 MshrEntry &
@@ -61,18 +60,12 @@ MshrFile::allocate(Addr block, bool prefetch_origin, CoreId core,
                            blockHex(block));
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
+    // releaseSlot() and clear() reset a freed slot to an empty entry,
+    // so only the identity fields need setting.
     MshrEntry &entry = slots_[slot];
     entry.block = block;
     entry.prefetch_origin = prefetch_origin;
-    entry.demand_merged = false;
-    entry.store_merged = false;
     entry.core = core;
-    if (!entry.callbacks.empty())
-        entry.callbacks.clear();
-    if (entry.callbacks.capacity() == 0 && !callback_pool_.empty()) {
-        entry.callbacks = std::move(callback_pool_.back());
-        callback_pool_.pop_back();
-    }
     slot_blocks_[slot] = block;
     ++size_;
     return entry;

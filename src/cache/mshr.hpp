@@ -9,10 +9,10 @@
  * until release, as before) and lookups scan the packed key array
  * instead of hashing — at MSHR sizes (16-64) the scan touches a few
  * cache lines and beats the hash map it replaced, while
- * allocation/release become a free-stack push/pop with
- * no allocator traffic at all. Released callback vectors park their
- * capacity in a recycle pool (see recycle()), so the steady-state miss
- * path performs zero heap operations.
+ * allocation/release become a free-stack push/pop. A released slot is
+ * reset to an empty entry, so each miss's callback vector allocates
+ * afresh: a pool recycling their capacity did not pay on any
+ * perfbench workload (EXPERIMENTS.md, "Lever audit").
  *
  * Structural violations (allocation past capacity, release of an
  * absent entry or a free slot) throw SimError with the owning
@@ -123,21 +123,6 @@ class MshrFile
      */
     MshrEntry releaseSlot(std::size_t slot, Cycle now = 0);
 
-    /**
-     * Park a released entry's callback-vector capacity for reuse by a
-     * later allocate(). Optional: skipping it only costs the heap
-     * round trip the pool exists to avoid.
-     */
-    void
-    recycle(MshrEntry &&entry)
-    {
-        if (entry.callbacks.capacity() == 0 ||
-            callback_pool_.size() >= capacity_)
-            return;
-        entry.callbacks.clear();
-        callback_pool_.push_back(std::move(entry.callbacks));
-    }
-
     void clear();
 
     /** Visit every in-flight entry, unordered (self-checks only). */
@@ -181,9 +166,6 @@ class MshrFile
     std::vector<Addr> slot_blocks_;
     /// Free slot indices (stack).
     std::vector<std::uint32_t> free_slots_;
-    /// Retired callback vectors with warm capacity. Bounded by
-    /// capacity_.
-    std::vector<std::vector<MshrCallback>> callback_pool_;
 };
 
 } // namespace bingo

@@ -85,11 +85,6 @@ DramController::service(Addr block_addr, Cycle now)
     const Cycle data_done = data_start + config_.data_transfer;
     ch.bus_free = data_done;
     stats_.bus_busy_cycles += config_.data_transfer;
-
-    // Track the drain horizon incrementally so idle()/busyUntil()
-    // never have to scan channels and banks.
-    busy_until_ = std::max(busy_until_, std::max(bank.ready, data_done));
-
     return data_done;
 }
 
@@ -145,26 +140,6 @@ DramController::checkInvariants(Cycle now) const
                            "transfer time " +
                            std::to_string(requests *
                                           config_.data_transfer));
-    // The cached drain horizon must dominate every bank/bus timer, or
-    // idle() would short-circuit while work is still in flight.
-    for (std::size_t c = 0; c < channels_.size(); ++c) {
-        const Channel &ch = channels_[c];
-        if (ch.bus_free > busy_until_)
-            throw SimError("DRAM", now,
-                           "channel " + std::to_string(c) +
-                               " bus timer " +
-                               std::to_string(ch.bus_free) +
-                               " exceeds cached busyUntil " +
-                               std::to_string(busy_until_));
-        for (const Bank &bank : ch.banks) {
-            if (bank.ready > busy_until_)
-                throw SimError("DRAM", now,
-                               "bank timer " +
-                                   std::to_string(bank.ready) +
-                                   " exceeds cached busyUntil " +
-                                   std::to_string(busy_until_));
-        }
-    }
 }
 
 void
@@ -176,7 +151,6 @@ DramController::reset()
             bank = Bank{};
     }
     stats_ = DramStats{};
-    busy_until_ = 0;
 }
 
 } // namespace bingo

@@ -10,7 +10,15 @@
  * evaluation depends on — row-buffer locality (spatial prefetches hit
  * open rows) and the bandwidth wall (overpredicting prefetchers saturate
  * the bus and delay demand traffic) — without a full command scheduler.
- * Scheduling is FCFS per channel with bank-level parallelism.
+ *
+ * Scheduling: each bank serves its requests in arrival order, and each
+ * channel has one data bus, also granted in arrival order. Banks of a
+ * channel overlap their row accesses (bank-level parallelism). There
+ * is no row-hit-first reordering and no queue is bounded: a request
+ * waits as long as its bank and bus are committed. Since every
+ * completion is known on arrival, the controller never has work of its
+ * own pending; the run loop's fast-forward needs only the event queue,
+ * which holds every read's completion.
  */
 
 #ifndef BINGO_MEM_DRAM_HPP
@@ -89,35 +97,6 @@ class DramController
     const DramStats &stats() const { return stats_; }
     const DramConfig &config() const { return config_; }
 
-    /**
-     * Latest cycle at which any bank or channel bus is still committed
-     * to in-flight work. O(1): maintained as a running bound in
-     * service() rather than scanned across channels x banks on every
-     * query — the scan the idle short-circuit exists to avoid.
-     */
-    Cycle busyUntil() const { return busy_until_; }
-
-    /** Whether every bank and bus timer has drained by `now`. */
-    bool idle(Cycle now) const { return busy_until_ <= now; }
-
-    /**
-     * Earliest future cycle at which this controller must run work of
-     * its own — the memory half of the run loop's fast-forward
-     * contract. The analytic model computes every completion at
-     * service time and schedules it on the global event queue, so
-     * there is never self-scheduled work to return to: once the bank
-     * and bus timers have drained the answer is kNeverCycle, and while
-     * they are still pending the conservative bound busyUntil() keeps
-     * a jump from overshooting controller state. Either answer is
-     * O(1); a queued command scheduler would return its next command
-     * cycle here instead.
-     */
-    Cycle
-    nextWorkCycle(Cycle now) const
-    {
-        return idle(now) ? kNeverCycle : busy_until_;
-    }
-
     /** Reset timing state and statistics. */
     void reset();
 
@@ -163,8 +142,6 @@ class DramController
     DramConfig config_;
     std::vector<Channel> channels_;
     DramStats stats_;
-    /// Running max over every bank.ready and channel bus_free.
-    Cycle busy_until_ = 0;
 };
 
 } // namespace bingo

@@ -486,15 +486,18 @@ System::runPhase(std::uint64_t instructions, const char *phase)
         }
         // Fast-forward: the memory side is fully event-driven, so the
         // earliest cycle at which anything can happen is the minimum
-        // of the next event, each core's own next wake (timed
-        // retirements), and the DRAM's self-scheduled work. Everything
-        // strictly before that is pure stall bookkeeping, accounted
-        // lazily per core. Capping at the gate boundaries keeps the
-        // watchdog/self-check cadence and lands telemetry samples on
-        // exactly the cycles the stepped loop samples, preserving
-        // bit-identical epoch streams.
+        // of the next event and each core's own next wake (timed
+        // retirements). DRAM computes each request's completion when
+        // it arrives, in bank then bus arrival order with no
+        // reordering, and a read's completion is already a queued
+        // event; its bank and bus timers matter only to the next
+        // request, which a core step or an event brings. Everything
+        // strictly before the target is pure stall bookkeeping,
+        // accounted lazily per core. Capping at the gate boundaries
+        // keeps the watchdog/self-check cadence and lands telemetry
+        // samples on exactly the cycles the stepped loop samples,
+        // preserving bit-identical epoch streams.
         Cycle target = std::min(wake, events_.nextEventCycle());
-        target = std::min(target, dram_->nextWorkCycle(now_));
         if (pausing)
             target = std::min(target, check_gate.nextBoundary());
         if (telemetry_ != nullptr)
@@ -504,7 +507,7 @@ System::runPhase(std::uint64_t instructions, const char *phase)
             // loop would spin forever. Report instead of wedging.
             reportDeadlock();
         }
-        // runDue(now_) drained everything at now_ and every wake/work
+        // runDue(now_) drained everything at now_ and every wake
         // bound is strictly in the future, so target >= now_ + 1.
         const std::uint64_t stalled = target - now_ - 1;
         if (stalled > 0) {

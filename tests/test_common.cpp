@@ -318,8 +318,8 @@ class QueueModel
   private:
     /**
      * A cycle at or after `base` on a 64-cycle grid reaching 6000
-     * cycles out, so inserts land on both sides of the 4096-cycle ring
-     * edge and one cycle collects heap and wheel events alike.
+     * cycles out, so many events share a cycle and some wait across
+     * many runDue() calls.
      */
     Cycle
     ahead(Cycle base)
@@ -357,7 +357,7 @@ class QueueModel
     Cycle cursor_ = 0;
 };
 
-TEST(EventQueue, MatchesASortedReferenceAcrossTheRingEdge)
+TEST(EventQueue, MatchesASortedReference)
 {
     QueueModel model;
     for (int round = 0; round < 3000; ++round) {

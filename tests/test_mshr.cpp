@@ -69,8 +69,9 @@ TEST(Mshr, CallbackTrackingMetadata)
 
 TEST(Mshr, RecycledEntriesStartClean)
 {
-    // release() keeps the map node for reuse; a later allocate of a
-    // different block must hand back a fully reset entry.
+    // release() frees the slot for reuse; a later allocate of a
+    // different block lands in it and must hand back a fully reset
+    // entry.
     MshrFile mshrs(2);
     MshrEntry &first = mshrs.allocate(0x40, true, 3);
     first.demand_merged = true;
@@ -88,8 +89,9 @@ TEST(Mshr, RecycledEntriesStartClean)
     ASSERT_NE(mshrs.find(0x80), nullptr);
     EXPECT_EQ(mshrs.find(0x40), nullptr);
 
-    // Duplicate allocation through the recycled-node path still throws
-    // under the BINGO_CHECK layer and leaves the file consistent.
+    // Duplicate allocation of the block in the reused slot still
+    // throws under the BINGO_CHECK layer and leaves the file
+    // consistent.
     setSimCheckEnabled(true);
     EXPECT_THROW(mshrs.allocate(0x80, false, 0), SimError);
     setSimCheckEnabled(false);
