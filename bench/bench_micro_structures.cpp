@@ -332,8 +332,9 @@ BENCHMARK(BM_MainLoopStallHeavy)
 
 /**
  * The run loop on a compute-dominated workload (SAT Solver, mostly
- * L1-resident): cores rarely stall, so the skip path's extra
- * next-wake scan must not slow the loop down.
+ * L1-resident): cores rarely stall, so skipping pays here only because
+ * a core jumps over its compute runs and replays them in bulk
+ * (OooCore::syncTo). The skip/step ratio measures that.
  */
 void
 BM_MainLoopComputeHeavy(benchmark::State &state)

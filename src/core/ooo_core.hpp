@@ -48,8 +48,11 @@ class TraceSource
 {
   public:
     /// Records a core asks for per fetch, and the size of the window
-    /// a transforming layer copies into.
-    static constexpr std::size_t kWindowRecords = 64;
+    /// a transforming layer copies into. A core that skips a compute
+    /// run still wakes where its window ends (the borrow must happen
+    /// where the stepped core's does), so longer windows mean fewer
+    /// wakes on compute-bound streams.
+    static constexpr std::size_t kWindowRecords = 256;
 
     virtual ~TraceSource() = default;
 
@@ -125,51 +128,47 @@ class OooCore
     OooCore(CoreId id, const CoreConfig &config, Cache &l1d,
             TraceSource &trace);
 
-    /** Advance one cycle: retire, then dispatch. */
+    /**
+     * Advance one cycle: retire, then dispatch. The per-cycle
+     * reference of the model: BINGO_NO_SKIP steps every core through
+     * every cycle, and syncTo() must reproduce it exactly.
+     */
     void step(Cycle now);
 
     /**
-     * Earliest cycle after `now` at which step() could do anything
-     * beyond fixed stall bookkeeping, assuming no memory completion
-     * callback arrives first (the run loop bounds the jump by the
-     * event queue separately, so callbacks never need predicting
-     * here). Returns now + 1 whenever the core can retire or dispatch
-     * next cycle, the ROB head's completion cycle when only a timed
-     * retirement is pending, and kNeverCycle when only an external
-     * fill/store callback (or nothing — quota reached) can unblock it.
-     * Conservative by contract: never later than the true next state
-     * change. Defined inline below: the run loop probes it every
-     * working cycle, so the dispatchable fast path must fold into the
-     * caller.
+     * Earliest cycle after `now` (the cycle just stepped) at which the
+     * core does something another component can observe, assuming no
+     * completion callback lands first (the run loop bounds the jump by
+     * the event queue separately): it sends a load or store to the L1D
+     * or defers a dependent load, it borrows the next trace window, or
+     * it retires the last instruction of its quota. kNeverCycle when
+     * only a callback can bring any of these (the ROB or LSQ is full
+     * behind an in-flight load) or the quota is met. Every cycle
+     * before it is compute or stall bookkeeping that syncTo() replays.
+     * Conservative by contract: never later than the next such
+     * action, and exact whenever the ROB has room for every record up
+     * to it. Waking at the window end keeps the core borrowing at the
+     * same stream positions as the stepped core.
      */
     Cycle nextWakeCycle(Cycle now) const;
 
     /**
-     * Account for `cycles` skipped stall cycles ending at cycle
-     * `last`: applies exactly the per-cycle bookkeeping the skipped
-     * step() calls would have performed (cycle count plus the
-     * rob-full/lsq-full stall counter of the current block reason) and
-     * moves the core's cycle cursor to `last`, as step(last) would
-     * have. Only valid when nextWakeCycle() and the event queue proved
-     * the window is pure stall; the bit-identity of skipped runs
-     * rests on this mirroring step() exactly.
-     */
-    void fastForward(std::uint64_t cycles, Cycle last);
-
-    /**
-     * Catch the stall bookkeeping up through cycle `through` (no-op
-     * when the cursor is already there). The run loop skips stepping
-     * a core whose nextWakeCycle() lies ahead, so the core accounts
-     * the gap lazily: step() syncs before acting, and completion
-     * callbacks sync before mutating state — against the pre-event
-     * block reason, exactly as the stepped loop would have counted
-     * the window.
+     * Catch the core up through cycle `through` (no-op when its cursor
+     * is already there), replaying each cycle exactly as step() would
+     * have: retirement and non-memory dispatch at width, the cycle
+     * count and the ROB-full/LSQ-full stall counters. The run loop
+     * skips stepping a core whose nextWakeCycle() lies ahead, so the
+     * core accounts the gap lazily: step() syncs before acting,
+     * completion callbacks sync before mutating state, and the system
+     * syncs every core before it reads core counters mid-phase.
+     * Throws SimError if the window holds an action nextWakeCycle()
+     * should have woken the core for.
      */
     void
     syncTo(Cycle through)
     {
         if (through > now_)
-            fastForward(through - now_, through);
+            replay(through);
     }
 
     /**
@@ -215,14 +214,28 @@ class OooCore
     /// completions straight into completeLoad()/completeStore().
     friend class Completion;
 
-    struct RobSlot
+    /**
+     * One ROB entry. A load is an entry of its own, found again by its
+     * sequence number when its fill lands. Every other instruction
+     * (non-memory records, and stores, which retire without waiting
+     * for the write) is ready a fixed alu_latency after dispatch, so
+     * instructions dispatched back to back at full width form one
+     * counted *timed run*: its i-th remaining instruction is ready at
+     * done + (skip + i) / width, the quotient counting the dispatch
+     * cycles since its first one.
+     */
+    struct RobEntry
     {
-        std::uint64_t seq = 0;
-        /// Cycle the instruction's result is ready; kNeverCycle while
-        /// the instruction is still in flight. Fusing the former
-        /// `completed` flag into the sentinel makes retirement a
-        /// single compare per slot.
+        std::uint64_t seq = 0;  ///< Entry sequence number.
+        /// Ready cycle of the run's first dispatch cycle; a load's
+        /// fill cycle, kNeverCycle while it is in flight.
         Cycle done = kNeverCycle;
+        /// Dispatch slots of the first cycle before the oldest
+        /// remaining instruction: its dispatch slot, plus every
+        /// instruction retired from the front since.
+        std::uint64_t skip = 0;
+        std::uint32_t count = 0;  ///< Instructions in the entry.
+        bool load = false;
         /// Dependent loads waiting for this load's data before issuing.
         std::vector<std::pair<std::uint64_t, MemAccess>> deferred;
     };
@@ -230,11 +243,96 @@ class OooCore
     void retire(Cycle now);
     void dispatch(Cycle now);
 
+    /** The cycle-by-cycle catch-up behind syncTo(). */
+    void replay(Cycle through);
+
     /**
-     * Fill arrived for ROB sequence `seq`: mark the slot complete,
-     * free its LSQ entry and release any dependent loads. Defined
-     * inline below — it is the LoadFill branch of the typed completion
-     * dispatch, invoked once per load miss/hit from the cache layer.
+     * Dispatch the next `count` non-memory records of the window at
+     * full width from slot 0 of cycle `now` on (a replayed run).
+     */
+    void takeRun(Cycle now, std::uint64_t count);
+
+    /**
+     * Add `count` instructions dispatched at cycle `now` from dispatch
+     * slot `slot` on to the ROB tail: they extend the tail's timed run
+     * when they continue its full-width cadence, and start a new run
+     * otherwise.
+     */
+    void appendTimed(Cycle now, unsigned slot, std::uint32_t count);
+
+    /** Count `n` retirements at cycle `now` against the quota. */
+    void countRetired(unsigned n, Cycle now);
+
+    /** Cycle the ROB head's oldest instruction is ready (kNeverCycle
+     *  when the ROB is empty or the head is an in-flight load). */
+    Cycle
+    headReadyCycle() const
+    {
+        if (rob_head_ == rob_tail_)
+            return kNeverCycle;
+        const RobEntry &head = rob_[rob_head_ & rob_mask_];
+        if (head.load || head.skip < config_.width)
+            return head.done;
+        return head.done + perWidth(head.skip);
+    }
+
+    /** nextWakeCycle() past its inline answers. */
+    Cycle computeWake(Cycle now) const;
+
+    /**
+     * Non-memory records dispatch can take before it reaches the next
+     * memory record or the end of the lent window.
+     */
+    std::uint32_t
+    computeRunLength() const
+    {
+        if (!run_end_known_) {
+            std::uint32_t pos = fetch_pos_;
+            while (pos < fetch_end_ &&
+                   fetch_data_[pos].type != InstrType::Load &&
+                   fetch_data_[pos].type != InstrType::Store)
+                ++pos;
+            run_end_ = pos;
+            run_end_known_ = true;
+        }
+        return run_end_ - fetch_pos_;
+    }
+
+    /** Branches among the next `count` records of the window. */
+    std::uint64_t branchesAhead(std::uint32_t count) const;
+
+    /**
+     * Whether an in-flight load sits among the `n` oldest instructions
+     * (those in the ROB now, then the ones dispatched after them): then
+     * retirement cannot get through `n` instructions before its fill.
+     */
+    bool fillBlocks(std::uint64_t n) const;
+
+    /** Instructions of `entry`, oldest first, ready by cycle `now`. */
+    std::uint64_t readyIn(const RobEntry &entry, Cycle now) const;
+
+    /**
+     * Leading ROB instructions ready by cycle `now`, counted until
+     * the first one that is not or until at least `enough`.
+     */
+    std::uint64_t readyPrefix(Cycle now, std::uint64_t enough) const;
+
+    /** Retire the `n` oldest instructions without checks (a replayed
+     *  steady flow that readyPrefix() vouched for). */
+    void retireFront(std::uint64_t n);
+
+    /** `n / width`, by shift when the width is a power of two. */
+    std::uint64_t
+    perWidth(std::uint64_t n) const
+    {
+        return width_shift_ >= 0 ? n >> width_shift_ : n / config_.width;
+    }
+
+    /**
+     * Fill arrived for ROB entry `seq`: mark it complete, free its LSQ
+     * entry and release any dependent loads. Defined inline below — it
+     * is the LoadFill branch of the typed completion dispatch, invoked
+     * once per load miss/hit from the cache layer.
      */
     void completeLoad(std::uint64_t seq, Cycle when);
 
@@ -245,7 +343,14 @@ class OooCore
      */
     void completeStore(Cycle when);
 
-    /** Send a load to the L1D, completing its ROB slot on fill. */
+    /**
+     * A completion landing at `when`: throw unless the core has yet to
+     * account that cycle, then replay up to the cycle before it so the
+     * skipped window is counted under its pre-event state.
+     */
+    void syncForCompletion(Cycle when, const char *what);
+
+    /** Send a load to the L1D, completing its ROB entry on fill. */
     void issueLoad(std::uint64_t seq, const MemAccess &access,
                    Cycle now);
 
@@ -253,17 +358,19 @@ class OooCore
     CoreConfig config_;
     Cache &l1d_;
     TraceSource &trace_;
+    /// log2(width) when the width is a power of two, else -1.
+    int width_shift_ = -1;
 
-    /// ROB storage, sized to the next power of two above the
-    /// configured capacity so slot indexing is a mask instead of a
-    /// modulo (three hot paths index per instruction). Occupancy is
-    /// still bounded by rob_capacity_, so FIFO distance never exceeds
-    /// the storage span and seq & rob_mask_ cannot alias live slots.
-    std::vector<RobSlot> rob_;
+    /// ROB entries, sized to the next power of two above the configured
+    /// capacity so indexing is a mask. Every entry holds at least one
+    /// instruction and occupancy is bounded by rob_capacity_, so
+    /// seq & rob_mask_ never aliases a live entry.
+    std::vector<RobEntry> rob_;
     std::uint64_t rob_mask_ = 0;      ///< rob_.size() - 1.
     std::uint64_t rob_capacity_ = 0;  ///< Configured logical capacity.
     std::uint64_t rob_head_ = 0;  ///< Sequence number of oldest entry.
     std::uint64_t rob_tail_ = 0;  ///< Sequence number of next entry.
+    std::uint64_t rob_count_ = 0;  ///< Instructions in the ROB.
     unsigned lsq_used_ = 0;
     std::uint64_t last_load_seq_ = 0;
     bool has_last_load_ = false;
@@ -275,6 +382,12 @@ class OooCore
     /// Dispatch reached fetch_data_[fetch_pos_] but could not place
     /// it: always a memory record blocked on a full LSQ.
     bool record_held_ = false;
+    /// Cache of computeRunLength(): the window slot of the next memory
+    /// record at or after fetch_pos_ (fetch_end_ if none), found by
+    /// dispatch or by a lazy scan. Only a new window or a memory
+    /// dispatch moves it, so each record is scanned about once.
+    mutable std::uint32_t run_end_ = 0;
+    mutable bool run_end_known_ = false;
 
     /// A completion callback arrived since the last step (see
     /// wakeDirty()). Starts true so a fresh core is always stepped.
@@ -285,6 +398,7 @@ class OooCore
     Cycle measure_start_cycle_ = 0;
     Cycle completion_cycle_ = 0;
     bool measurement_done_ = false;
+    /// Last cycle the core has accounted (stepped or replayed).
     Cycle now_ = 0;
 };
 
@@ -295,25 +409,23 @@ OooCore::nextWakeCycle(Cycle now) const
     // in the event queue.
     if (measurement_done_)
         return kNeverCycle;
-
-    Cycle wake = kNeverCycle;
-    if (rob_head_ != rob_tail_) {
-        const RobSlot &head = rob_[rob_head_ & rob_mask_];
-        if (head.done <= now + 1)
-            return now + 1;  // Retires next cycle.
-        if (head.done != kNeverCycle)
-            wake = head.done;  // Timed retirement resumes here.
-        // An incomplete head (kNeverCycle) is woken by its fill
-        // callback: an event.
+    // Inline, the answers that need no look ahead. Dispatch blocked
+    // (full ROB, or a memory record held on a full LSQ) behind a head
+    // not ready next cycle: nothing happens before the head is ready,
+    // and an in-flight head waits for its fill. Otherwise, with a
+    // memory record or the window end less than two dispatch cycles
+    // away, step next cycle: replaying a single skipped cycle costs
+    // what stepping it does. (Early wakes are always allowed.)
+    const bool held_on_lsq =
+        record_held_ && lsq_used_ >= config_.lsq_entries;
+    if (rob_count_ == rob_capacity_ || held_on_lsq) {
+        const Cycle ready = headReadyCycle();
+        if (ready > now + 1)
+            return ready;
     }
-
-    // Dispatch runs every cycle unless structurally blocked; a core
-    // that can dispatch must be stepped cycle by cycle.
-    if (rob_tail_ - rob_head_ >= rob_capacity_)
-        return wake;  // ROB full: only the retirement above unblocks.
-    if (record_held_ && lsq_used_ >= config_.lsq_entries)
-        return wake;  // LSQ full: freed by a completion callback.
-    return now + 1;
+    if (record_held_ || computeRunLength() < 2 * config_.width)
+        return now + 1;
+    return computeWake(now);
 }
 
 inline void
@@ -324,44 +436,51 @@ OooCore::issueLoad(std::uint64_t seq, const MemAccess &access,
 }
 
 inline void
+OooCore::syncForCompletion(Cycle when, const char *what)
+{
+    // Fired from the event queue at cycle `when`, which the run loop
+    // reaches before it steps any core there: a core that already
+    // accounted `when` was jumped past an event.
+    if (when <= now_)
+        throw SimError("core" + std::to_string(id_), when,
+                       std::string(what) +
+                           " completion landed after the core "
+                           "accounted through cycle " +
+                           std::to_string(now_));
+    syncTo(when - 1);
+    wake_dirty_ = true;
+}
+
+inline void
 OooCore::completeLoad(std::uint64_t seq, Cycle when)
 {
-    // Fired from the event queue at cycle `when`: a lazily-skipped
-    // core first accounts the window under its pre-event block
-    // reason, exactly as per-cycle stepping would have.
-    if (when != 0)
-        syncTo(when - 1);
-    wake_dirty_ = true;
-    RobSlot &slot = rob_[seq & rob_mask_];
-    if (slot.seq != seq)
+    syncForCompletion(when, "load");
+    RobEntry &entry = rob_[seq & rob_mask_];
+    if (entry.seq != seq || !entry.load)
         throw SimError("core" + std::to_string(id_), when,
-                       "load completion for ROB sequence " +
+                       "load completion for ROB entry " +
                            std::to_string(seq) +
-                           " found slot holding sequence " +
-                           std::to_string(slot.seq));
-    slot.done = when < now_ + 1 ? now_ + 1 : when;
+                           " found entry " +
+                           std::to_string(entry.seq) +
+                           (entry.load ? "" : " (not a load)"));
+    entry.done = when;
     if (lsq_used_ == 0)
         throw SimError("core" + std::to_string(id_), when,
                        "load completion with no LSQ entry held");
     --lsq_used_;
-    if (!slot.deferred.empty()) {
+    if (!entry.deferred.empty()) {
         // Release the pointer chasers waiting on this load's data.
-        const auto waiting = std::move(slot.deferred);
-        slot.deferred.clear();
-        const Cycle issue = when < now_ ? now_ : when;
+        const auto waiting = std::move(entry.deferred);
+        entry.deferred.clear();
         for (const auto &[dep_seq, access] : waiting)
-            issueLoad(dep_seq, access, issue);
+            issueLoad(dep_seq, access, when);
     }
 }
 
 inline void
 OooCore::completeStore(Cycle when)
 {
-    // Account the skipped window against the pre-release block reason
-    // before freeing the LSQ slot.
-    if (when != 0)
-        syncTo(when - 1);
-    wake_dirty_ = true;
+    syncForCompletion(when, "store");
     if (lsq_used_ == 0)
         throw SimError("core" + std::to_string(id_), when,
                        "store completion with no LSQ entry held");

@@ -303,8 +303,19 @@ System::quarantineReport() const
 }
 
 void
-System::reportWatchdogExpiry() const
+System::syncCoresBefore(Cycle cycle)
 {
+    if (cycle == 0)
+        return;
+    for (auto &core : cores_)
+        core->syncTo(cycle - 1);
+}
+
+void
+System::reportWatchdogExpiry()
+{
+    // The stepped loop had finished every core through now_ - 1.
+    syncCoresBefore(now_);
     std::string progress;
     for (const auto &core : cores_) {
         if (!progress.empty())
@@ -320,8 +331,11 @@ System::reportWatchdogExpiry() const
 }
 
 void
-System::reportDeadlock() const
+System::reportDeadlock()
 {
+    // Every core has been stepped at now_ or waits on a callback that
+    // will never come.
+    syncCoresBefore(now_ + 1);
     std::string progress;
     for (const auto &core : cores_) {
         if (!progress.empty())
@@ -358,14 +372,6 @@ System::metrics() const
         if (prefetchers_[c])
             prefetchers_[c]->metrics("pf" + std::to_string(c) + ".", out);
     }
-    const TraceCacheStats trace = TraceCache::instance().stats();
-    out["trace_cache.hits"] = trace.hits;
-    out["trace_cache.misses"] = trace.misses;
-    out["trace_cache.evictions"] = trace.evictions;
-    out["trace_cache.bypasses"] = trace.bypasses;
-    out["trace_cache.buffers"] = trace.buffers;
-    out["trace_cache.bytes"] = trace.bytes;
-    out["trace_cache.records_generated"] = trace.records_generated;
     if (chaos_)
         addCounters(out, "chaos.", chaos_->counters());
     return out;
@@ -400,6 +406,10 @@ System::telemetrySnapshot() const
 void
 System::sampleEpochIfDue()
 {
+    // A core the run loop has not stepped lately holds its counters at
+    // its last step; the stepped loop had every core through now_ - 1
+    // here.
+    syncCoresBefore(now_);
     std::uint64_t instructions = 0;
     for (const auto &core : cores_)
         instructions += core->stats().instructions;
@@ -436,86 +446,102 @@ System::runPhase(std::uint64_t instructions, const char *phase)
     std::size_t done_cores = 0;
     for (const auto &core : cores_)
         done_cores += core->measurementDone() ? 1 : 0;
-    while (done_cores < cores_.size()) {
-        if (pausing && check_gate.crossed(now_)) {
-            if (deadline_armed_ &&
-                std::chrono::steady_clock::now() >= deadline_)
-                reportWatchdogExpiry();
-            if (checks)
-                checkInvariants();
-        }
-        if (telemetry_ != nullptr && epoch_gate.crossed(now_))
-            sampleEpochIfDue();
-        events_.runDue(now_);
-        // Per-core lazy stepping: a core whose cached wake lies ahead
-        // and that no completion callback has touched since (its
-        // wakeDirty flag) is provably mid-stall — skip its step()
-        // entirely; it accounts the gap itself (OooCore::syncTo) when
-        // next touched. The cached wakes double as the fast-path
-        // probe: no extra nextWakeCycle() calls on working cycles.
-        Cycle wake = kNeverCycle;
-        if (skip_enabled_) {
-            for (std::size_t i = 0; i < cores_.size(); ++i) {
-                OooCore &core = *cores_[i];
-                if (core_wake_[i] > now_ && !core.wakeDirty()) {
+    try {
+        while (done_cores < cores_.size()) {
+            if (pausing && check_gate.crossed(now_)) {
+                if (deadline_armed_ &&
+                    std::chrono::steady_clock::now() >= deadline_)
+                    reportWatchdogExpiry();
+                if (checks)
+                    checkInvariants();
+            }
+            if (telemetry_ != nullptr && epoch_gate.crossed(now_))
+                sampleEpochIfDue();
+            events_.runDue(now_);
+            // Per-core lazy stepping: a core whose cached wake lies
+            // ahead does nothing another component can see before then
+            // — skip its step() entirely; it replays the gap itself
+            // (OooCore::syncTo) when next touched. A completion callback
+            // (the wakeDirty flag) voids the cached wake; the callback
+            // synced the core through now_ - 1, so its wake is recomputed
+            // from there, and it steps only when that wake is now_.
+            Cycle wake = kNeverCycle;
+            if (skip_enabled_) {
+                for (std::size_t i = 0; i < cores_.size(); ++i) {
+                    OooCore &core = *cores_[i];
+                    if (core.wakeDirty() && now_ > 0) {
+                        core.clearWakeDirty();
+                        core_wake_[i] = core.nextWakeCycle(now_ - 1);
+                    }
+                    if (core_wake_[i] > now_) {
+                        wake = std::min(wake, core_wake_[i]);
+                        continue;
+                    }
+                    core.clearWakeDirty();
+                    const bool was_done = core.measurementDone();
+                    core.step(now_);
+                    if (!was_done && core.measurementDone())
+                        ++done_cores;
+                    core_wake_[i] = core.nextWakeCycle(now_);
                     wake = std::min(wake, core_wake_[i]);
-                    continue;
                 }
-                core.clearWakeDirty();
-                const bool was_done = core.measurementDone();
-                core.step(now_);
-                if (!was_done && core.measurementDone())
-                    ++done_cores;
-                core_wake_[i] = core.nextWakeCycle(now_);
-                wake = std::min(wake, core_wake_[i]);
+            } else {
+                for (auto &core : cores_) {
+                    const bool was_done = core->measurementDone();
+                    core->step(now_);
+                    if (!was_done && core->measurementDone())
+                        ++done_cores;
+                }
             }
-        } else {
-            for (auto &core : cores_) {
-                const bool was_done = core->measurementDone();
-                core->step(now_);
-                if (!was_done && core->measurementDone())
-                    ++done_cores;
+            if (wake <= now_ + 1 || !skip_enabled_ ||
+                done_cores == cores_.size()) {
+                // The stepped loop exits with now_ one past the
+                // finishing cycle; keep that identity rather than
+                // jumping.
+                ++now_;
+                continue;
+            }
+            // Fast-forward: the memory side is fully event-driven, so
+            // the earliest cycle at which anything can happen is the
+            // minimum of the next event and each core's own next wake
+            // (its next memory dispatch, window borrow or quota
+            // retirement). DRAM computes each request's completion when
+            // it arrives, in bank then bus arrival order with no
+            // reordering, and a read's completion is already a queued
+            // event; its bank and bus timers matter only to the next
+            // request, which a core step or an event brings. Everything
+            // strictly before the target is compute and stall
+            // bookkeeping, replayed lazily per core. Capping at the gate
+            // boundaries keeps the watchdog/self-check cadence and
+            // lands telemetry samples on exactly the cycles the stepped
+            // loop samples, preserving bit-identical epoch streams.
+            Cycle target = std::min(wake, events_.nextEventCycle());
+            if (pausing)
+                target = std::min(target, check_gate.nextBoundary());
+            if (telemetry_ != nullptr)
+                target = std::min(target, epoch_gate.nextBoundary());
+            if (target == kNeverCycle) {
+                // Live cores with no pending event anywhere: the
+                // stepped loop would spin forever. Report instead of
+                // wedging.
+                reportDeadlock();
+            }
+            // runDue(now_) drained everything at now_ and every wake
+            // bound is strictly in the future, so target >= now_ + 1.
+            const std::uint64_t stalled = target - now_ - 1;
+            if (stalled > 0) {
+                skipped_cycles_ += stalled;
+                now_ = target;
+            } else {
+                ++now_;
             }
         }
-        if (wake <= now_ + 1 || !skip_enabled_ ||
-            done_cores == cores_.size()) {
-            // The stepped loop exits with now_ one past the finishing
-            // cycle; keep that identity rather than jumping.
-            ++now_;
-            continue;
-        }
-        // Fast-forward: the memory side is fully event-driven, so the
-        // earliest cycle at which anything can happen is the minimum
-        // of the next event and each core's own next wake (timed
-        // retirements). DRAM computes each request's completion when
-        // it arrives, in bank then bus arrival order with no
-        // reordering, and a read's completion is already a queued
-        // event; its bank and bus timers matter only to the next
-        // request, which a core step or an event brings. Everything
-        // strictly before the target is pure stall bookkeeping,
-        // accounted lazily per core. Capping at the gate boundaries
-        // keeps the watchdog/self-check cadence and lands telemetry
-        // samples on exactly the cycles the stepped loop samples,
-        // preserving bit-identical epoch streams.
-        Cycle target = std::min(wake, events_.nextEventCycle());
-        if (pausing)
-            target = std::min(target, check_gate.nextBoundary());
-        if (telemetry_ != nullptr)
-            target = std::min(target, epoch_gate.nextBoundary());
-        if (target == kNeverCycle) {
-            // Live cores with no pending event anywhere: the stepped
-            // loop would spin forever. Report instead of wedging.
-            reportDeadlock();
-        }
-        // runDue(now_) drained everything at now_ and every wake
-        // bound is strictly in the future, so target >= now_ + 1.
-        const std::uint64_t stalled = target - now_ - 1;
-        if (stalled > 0) {
-            skipped_cycles_ += stalled;
-            now_ = target;
-        } else {
-            ++now_;
-        }
+    } catch (...) {
+        // A failed run still reports its counters (System::metrics()
+        // in the failed job's run.json): bring every core to where the
+        // stepped loop had it when the error struck.
+        syncCoresBefore(now_);
+        throw;
     }
     if (checks)
         checkInvariants();

@@ -140,8 +140,9 @@ class System
     /**
      * Every component's counters by name, as run.json's `metrics`:
      * "LLC.", "L1D<i>.", "dram.", "core<i>.", "pf<i>." (each
-     * prefetcher's StatSet), "trace_cache." (the process-wide trace
-     * cache) and, with chaos on, "chaos.". Read at call time; cold
+     * prefetcher's StatSet) and, with chaos on, "chaos.". A function
+     * of the run alone: the process-wide trace cache's counters go to
+     * the sweep's trace_cache.json instead. Read at call time; cold
      * path only.
      */
     MetricMap metrics() const;
@@ -159,11 +160,11 @@ class System
     /**
      * Enable or disable event-driven cycle skipping. On (the default
      * unless the BINGO_NO_SKIP environment variable is set), the run
-     * loop fast-forwards through windows in which every core is
-     * provably stalled and no event is due, applying the skipped
-     * cycles' bookkeeping in bulk; results are bit-identical to the
-     * stepped loop. Off is the escape hatch for debugging and for the
-     * CI equivalence diff.
+     * loop fast-forwards through windows in which no event is due and
+     * no core does anything another component can observe (it only
+     * computes or stalls), and each core replays the skipped cycles
+     * itself; results are bit-identical to the stepped loop. Off is
+     * the escape hatch for debugging and for the CI equivalence diff.
      */
     void setCycleSkipping(bool enabled) { skip_enabled_ = enabled; }
 
@@ -190,15 +191,23 @@ class System
     /** Close the telemetry epoch when its boundary was crossed. */
     void sampleEpochIfDue();
 
+    /**
+     * Replay every core through the cycle before `cycle` (no-op at
+     * cycle 0), so their counters read as the stepped loop's do when
+     * it reaches `cycle`. Called before anything reads core state in
+     * the middle of a phase.
+     */
+    void syncCoresBefore(Cycle cycle);
+
     /** Throw the watchdog SimError with per-core progress. */
-    [[noreturn]] void reportWatchdogExpiry() const;
+    [[noreturn]] void reportWatchdogExpiry();
 
     /**
      * Throw when the fast-forward path proves no component can ever
      * make progress again (live cores, no pending events, idle DRAM) —
      * the condition the stepped loop would spin on forever.
      */
-    [[noreturn]] void reportDeadlock() const;
+    [[noreturn]] void reportDeadlock();
 
     SystemConfig config_;
     EventQueue events_;

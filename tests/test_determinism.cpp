@@ -170,6 +170,30 @@ TEST_P(SkipEquivalenceTest, SkipOnMatchesSkipOffOnAFourCoreMix)
     expectSkipMatchesStepping(SystemConfig{}, "Mix 3");
 }
 
+/**
+ * Four cores on Streaming, the application with the longest compute
+ * runs: most skipped cycles are compute windows that each core replays
+ * lazily, while its neighbours' misses keep landing in between.
+ */
+TEST_P(SkipEquivalenceTest, SkipOnMatchesSkipOffOnFourComputeBoundCores)
+{
+    expectSkipMatchesStepping(SystemConfig{}, "Streaming");
+}
+
+/**
+ * A core-config corner for the replayed compute runs: an odd width
+ * against a ROB size that is not a power of two and a multi-cycle ALU
+ * latency, so timed runs retire across cycle boundaries mid-run.
+ */
+TEST_P(SkipEquivalenceTest, SkipOnMatchesSkipOffOnAnOddCoreConfig)
+{
+    SystemConfig config = SystemConfig::singleCore();
+    config.core.width = 2;
+    config.core.rob_entries = 100;
+    config.core.alu_latency = 3;
+    expectSkipMatchesStepping(config, "SAT Solver");
+}
+
 /** Every kind in the prefetcher registry, in registry order. */
 std::vector<PrefetcherKind>
 registeredKinds()
@@ -187,16 +211,18 @@ INSTANTIATE_TEST_SUITE_P(Prefetchers, SkipEquivalenceTest,
  * With telemetry on, the skipped loop must produce exactly the same
  * epoch stream: same record count, phases, boundaries, and deltas.
  * (The fast-forward path caps jumps at the epoch-check boundary so
- * samples land on the same cycles the stepped loop samples at.)
+ * samples land on the same cycles the stepped loop samples at, and
+ * syncs every core first, so a core that is replaying a compute run
+ * lazily still reports the instructions it has retired.)
  */
-TEST(Determinism, SkipPreservesTelemetryEpochStreams)
+void
+expectSkipPreservesEpochStreams(SystemConfig config,
+                                const std::string &workload)
 {
-    const auto runTelemetry = [](bool skip) {
-        SystemConfig config = SystemConfig::singleCore();
+    const auto runTelemetry = [&](bool skip) {
         config.prefetcher.kind = PrefetcherKind::Bingo;
         config.seed = 7;
-        auto system =
-            std::make_unique<System>(config, "Data Serving");
+        auto system = std::make_unique<System>(config, workload);
         system->setCycleSkipping(skip);
         telemetry::Options options;
         options.epoch_instructions = 2000;  // Many epoch boundaries.
@@ -229,6 +255,23 @@ TEST(Determinism, SkipPreservesTelemetryEpochStreams)
         EXPECT_EQ(a[i].delta.pf_useful, b[i].delta.pf_useful)
             << "epoch " << i;
     }
+}
+
+TEST(Determinism, SkipPreservesTelemetryEpochStreams)
+{
+    expectSkipPreservesEpochStreams(SystemConfig::singleCore(),
+                                    "Data Serving");
+}
+
+/**
+ * Four cores: when an epoch boundary is checked, some cores are mid
+ * compute run and have not been stepped for many cycles, so the
+ * instruction count the boundary is decided on depends on syncing
+ * every one of them first.
+ */
+TEST(Determinism, SkipPreservesTelemetryEpochStreamsOnFourCores)
+{
+    expectSkipPreservesEpochStreams(SystemConfig{}, "Streaming");
 }
 
 /**
