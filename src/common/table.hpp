@@ -18,9 +18,15 @@
  *
  * Storage is allocated on the first write (insert() or a mutable
  * entryAt()); until then every lookup sees an empty table. Building a
- * System therefore never zeroes its prefetchers' tables (about 210 MB
- * for the hybrid), so its cost no longer depends on whether the heap
- * hands back pages a freed System left behind or fresh ones.
+ * System therefore never touches its prefetchers' tables (about 210 MB
+ * for the hybrid). The storage is a ZeroedArray, where an unwritten way
+ * is zero bytes and reads as invalid: a table of 1 MB or more (the
+ * temporal prefetchers' have several) gets pages of its own, costs
+ * memory only for the pages its inserts reach, and gives them back to
+ * the OS with the table. One bit per set records whether any write
+ * reached it, and lookups treat an unwritten set as empty without
+ * reading it, so a page is first touched by a write: one page fault,
+ * not a fault to map a zero page and another to replace it.
  */
 
 #ifndef BINGO_COMMON_TABLE_HPP
@@ -29,9 +35,9 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "common/sim_check.hpp"
+#include "common/zeroed_array.hpp"
 
 namespace bingo
 {
@@ -141,17 +147,22 @@ class SetAssocTable
     Entry &
     insert(std::size_t set, std::uint64_t tag, Data data)
     {
+        checkSet(set);
         allocate();
-        Entry *base = setBase(set);
+        Entry *base = entries_.data() + set * ways_;
         Entry *victim = nullptr;
-        for (std::size_t w = 0; w < ways_; ++w) {
-            Entry &e = base[w];
-            if (e.valid && e.tag == tag) {
-                victim = &e;
-                break;
+        if (markWritten(set)) {
+            victim = base;  // Every way of a fresh set is invalid.
+        } else {
+            for (std::size_t w = 0; w < ways_; ++w) {
+                Entry &e = base[w];
+                if (e.valid && e.tag == tag) {
+                    victim = &e;
+                    break;
+                }
+                if (!e.valid && victim == nullptr)
+                    victim = &e;
             }
-            if (!e.valid && victim == nullptr)
-                victim = &e;
         }
         if (victim == nullptr) {
             victim = base;
@@ -185,19 +196,19 @@ class SetAssocTable
     occupancy() const
     {
         std::size_t n = 0;
-        for (const Entry &e : entries_) {
-            if (e.valid)
-                ++n;
-        }
+        for (std::size_t set = 0; set < sets_; ++set)
+            n += countIf(set, [](const Entry &) { return true; });
         return n;
     }
 
-    /** Invalidate everything. */
+    /** Invalidate everything (the storage is freed). */
     void
     clear()
     {
-        for (Entry &e : entries_)
-            e.valid = false;
+        entries_ = {};
+        tag_mirror_ = {};
+        written_ = {};
+        mirror_dirty_ = false;
         tick_ = 0;
     }
 
@@ -213,41 +224,60 @@ class SetAssocTable
     entryAt(std::size_t index)
     {
         allocate();
+        markWritten(index / ways_);
         mirror_dirty_ = true;
         return entries_[index];
     }
     const Entry &entryAt(std::size_t index) const
     {
         static const Entry kUnwritten{};
-        return entries_.empty() ? kUnwritten : entries_[index];
+        return written(index / ways_) ? entries_[index] : kUnwritten;
     }
 
   private:
-    /** Allocate the zeroed storage on first write. */
+    /** Allocate the storage on first write: every way invalid, tag 0. */
     void
     allocate()
     {
         if (!entries_.empty())
             return;
-        entries_.resize(sets_ * ways_);
-        tag_mirror_.assign(sets_ * ways_, 0);
+        entries_ = ZeroedArray<Entry>(sets_ * ways_);
+        tag_mirror_ = ZeroedArray<std::uint64_t>(sets_ * ways_);
+        written_ = ZeroedArray<std::uint64_t>((sets_ + 63) / 64);
     }
 
-    /** First way of `set`, or nullptr while nothing is allocated. */
+    /** Whether any write has reached `set`. */
+    bool
+    written(std::size_t set) const
+    {
+        return !written_.empty() &&
+               ((written_[set / 64] >> (set % 64)) & 1) != 0;
+    }
+
+    /** Record a write to `set` (allocated); true if it is the first. */
+    bool
+    markWritten(std::size_t set)
+    {
+        std::uint64_t &word = written_[set / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (set % 64);
+        const bool first = (word & bit) == 0;
+        word |= bit;
+        return first;
+    }
+
+    /** First way of `set`, or nullptr while no write has reached it. */
     Entry *
     setBase(std::size_t set)
     {
         checkSet(set);
-        return entries_.empty() ? nullptr
-                                : entries_.data() + set * ways_;
+        return written(set) ? entries_.data() + set * ways_ : nullptr;
     }
 
     const Entry *
     setBase(std::size_t set) const
     {
         checkSet(set);
-        return entries_.empty() ? nullptr
-                                : entries_.data() + set * ways_;
+        return written(set) ? entries_.data() + set * ways_ : nullptr;
     }
 
     /**
@@ -266,23 +296,30 @@ class SetAssocTable
         }
     }
 
-    /** Recopy every entry tag into the packed mirror. */
+    /** Recopy the entry tags of every written set into the mirror. */
     void
     syncMirror()
     {
-        for (std::size_t i = 0; i < entries_.size(); ++i)
-            tag_mirror_[i] = entries_[i].tag;
+        for (std::size_t set = 0; set < sets_; ++set) {
+            if (!written(set))
+                continue;
+            for (std::size_t i = set * ways_; i < (set + 1) * ways_; ++i)
+                tag_mirror_[i] = entries_[i].tag;
+        }
         mirror_dirty_ = false;
     }
 
     std::size_t sets_;
     std::size_t ways_;
-    std::vector<Entry> entries_;
+    ZeroedArray<Entry> entries_;
     /// entries_[i].tag packed densely for the find() scan, which then
     /// strides 8 bytes per way instead of a whole Entry; invariant
     /// tag_mirror_[i] == entries_[i].tag except while
     /// mirror_dirty_ (set by mutable entryAt()).
-    std::vector<std::uint64_t> tag_mirror_;
+    ZeroedArray<std::uint64_t> tag_mirror_;
+    /// Bit s set once any write has reached set s (see the file
+    /// comment); an unwritten set's ways are all zero bytes.
+    ZeroedArray<std::uint64_t> written_;
     bool mirror_dirty_ = false;
     std::uint64_t tick_ = 0;
 };

@@ -56,9 +56,9 @@ makeStream(const std::string &workload, CoreId core,
 } // namespace
 
 TraceBuffer::TraceBuffer(std::unique_ptr<TraceSource> generator,
-                         std::atomic<std::uint64_t> *total_bytes,
+                         ChunkStore &store,
                          std::atomic<std::uint64_t> *total_records)
-    : generator_(std::move(generator)), total_bytes_(total_bytes),
+    : generator_(std::move(generator)), store_(store),
       total_records_(total_records)
 {
     // Reserved once: the chunk directory must never reallocate, so
@@ -68,9 +68,8 @@ TraceBuffer::TraceBuffer(std::unique_ptr<TraceSource> generator,
 
 TraceBuffer::~TraceBuffer()
 {
-    if (total_bytes_ != nullptr)
-        total_bytes_->fetch_sub(bytesReserved(),
-                                std::memory_order_relaxed);
+    for (std::unique_ptr<std::byte[]> &chunk : chunks_)
+        store_.give(std::move(chunk));
 }
 
 void
@@ -89,15 +88,7 @@ TraceBuffer::extendTo(std::size_t needed)
                         std::to_string(kMaxChunks * kChunkRecords) +
                         " records");
             }
-            chunks_.push_back(
-                std::make_unique_for_overwrite<std::byte[]>(
-                    kChunkRecords * sizeof(TraceRecord)));
-            allocated_chunks_.store(chunks_.size(),
-                                    std::memory_order_relaxed);
-            if (total_bytes_ != nullptr) {
-                total_bytes_->fetch_add(kChunkRecords * kRecordBytes,
-                                        std::memory_order_relaxed);
-            }
+            chunks_.push_back(store_.take());
         }
         const std::size_t offset = committed % kChunkRecords;
         const std::size_t remaining = kChunkRecords - offset;
@@ -126,6 +117,55 @@ TraceBuffer::view(std::size_t pos, std::size_t want, std::size_t &got)
     return chunkData(pos / kChunkRecords) + offset;
 }
 
+ChunkStore::Chunk
+ChunkStore::take()
+{
+    live_bytes_.fetch_add(kChunkBytes, std::memory_order_relaxed);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!spares_.empty()) {
+            Chunk chunk = std::move(spares_.back());
+            spares_.pop_back();
+            return chunk;
+        }
+    }
+    // Uninitialized: TraceRecord carries default member initializers,
+    // so an array new would zero-fill 1.5 MB per chunk record by
+    // record. Raw storage skips that (every byte below a buffer's
+    // committed count is generator output before any reader can reach
+    // it), and TraceRecord is an implicit-lifetime aggregate, so
+    // records come to life as the generator stores them.
+    return std::make_unique_for_overwrite<std::byte[]>(kChunkBytes);
+}
+
+void
+ChunkStore::give(Chunk chunk)
+{
+    const std::uint64_t live =
+        live_bytes_.fetch_sub(kChunkBytes, std::memory_order_relaxed) -
+        kChunkBytes;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (live + (spares_.size() + 1) * kChunkBytes <= limit_)
+        spares_.push_back(std::move(chunk));
+}
+
+void
+ChunkStore::setLimit(std::uint64_t bytes)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    limit_ = bytes;
+    while (!spares_.empty() &&
+           liveBytes() + spares_.size() * kChunkBytes > limit_)
+        spares_.pop_back();
+}
+
+void
+ChunkStore::clear()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    spares_.clear();
+}
+
 std::size_t
 TraceCache::KeyHash::operator()(const Key &key) const
 {
@@ -139,6 +179,7 @@ TraceCache::KeyHash::operator()(const Key &key) const
 TraceCache::TraceCache(std::uint64_t budget_bytes)
     : budget_bytes_(budget_bytes)
 {
+    chunks_.setLimit(budget_bytes);
 }
 
 TraceCache &
@@ -154,27 +195,35 @@ TraceCache::acquire(const std::string &workload, CoreId core,
 {
     std::unique_lock<std::mutex> lock(mutex_);
     Key key{workload, core, seed, translated};
-    const PlannedUse planned = plannedUse(key);
+    const PlannedUse use = claimPlannedUse(key);
     const auto bypass = [&] {
         bypasses_.fetch_add(1, std::memory_order_relaxed);
         lock.unlock();
         return makeStream(workload, core, seed, translated);
     };
-    if (budget_bytes_ == 0 || planned.pinned_bytes > budget_bytes_)
+    if (budget_bytes_ == 0 || use.pinned_bytes > budget_bytes_)
         return bypass();
 
+    // The last planned use lets the buffer go (see the file comment).
+    const bool last_use = use.planned && use.later_uses == 0;
     auto it = buffers_.find(key);
     if (it != buffers_.end()) {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-        return std::make_unique<CachedTraceSource>(it->second.buffer);
+        std::shared_ptr<TraceBuffer> buffer = it->second.buffer;
+        if (last_use) {
+            lru_.erase(it->second.lru_pos);
+            buffers_.erase(it);
+        } else {
+            lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+        }
+        return std::make_unique<CachedTraceSource>(std::move(buffer));
     }
-    if (planned.systems == 1)
+    if (last_use)
         return bypass();
 
     misses_.fetch_add(1, std::memory_order_relaxed);
     auto buffer = std::make_shared<TraceBuffer>(
-        makeStream(workload, core, seed, translated), &bytes_,
+        makeStream(workload, core, seed, translated), chunks_,
         &records_generated_);
     lru_.push_front(key);
     buffers_.emplace(std::move(key), Slot{buffer, lru_.begin()});
@@ -183,25 +232,30 @@ TraceCache::acquire(const std::string &workload, CoreId core,
 }
 
 TraceCache::PlannedUse
-TraceCache::plannedUse(const Key &key) const
+TraceCache::claimPlannedUse(const Key &key)
 {
-    PlannedUse sum;
-    for (const Plan *plan = plans_; plan != nullptr; plan = plan->next_) {
-        const auto [first, last] =
-            std::equal_range(plan->systems_.begin(), plan->systems_.end(),
-                             key, StreamLess{});
-        for (auto it = first; it != last; ++it) {
-            if (key.core >= it->cores)
-                continue;
-            ++sum.systems;
-            sum.pinned_bytes =
-                std::max<std::uint64_t>(sum.pinned_bytes,
-                                        std::uint64_t{it->cores} *
-                                            it->records *
-                                            TraceBuffer::kRecordBytes);
-        }
+    PlannedUse use;
+    std::uint64_t left = 0;
+    Plan::Use *claimed = nullptr;
+    for (Plan *plan = plans_; plan != nullptr; plan = plan->next_) {
+        const auto it = std::lower_bound(
+            plan->uses_.begin(), plan->uses_.end(), key,
+            [](const Plan::Use &u, const Key &k) {
+                return keyLess(u.key, k);
+            });
+        if (it == plan->uses_.end() || !(it->key == key))
+            continue;
+        use.planned = true;
+        use.pinned_bytes = std::max(use.pinned_bytes, it->pinned_bytes);
+        left += it->systems - it->acquired;
+        if (claimed == nullptr && it->acquired < it->systems)
+            claimed = &*it;
     }
-    return sum;
+    if (claimed != nullptr) {
+        ++claimed->acquired;
+        use.later_uses = left - 1;
+    }
+    return use;
 }
 
 void
@@ -212,7 +266,7 @@ TraceCache::evictOverBudget()
     // budget can transiently overshoot while sweeps hold buffers
     // open.
     auto it = lru_.end();
-    while (bytes_.load(std::memory_order_relaxed) > budget_bytes_ &&
+    while (chunks_.liveBytes() > budget_bytes_ &&
            it != lru_.begin()) {
         --it;
         auto found = buffers_.find(*it);
@@ -231,6 +285,7 @@ TraceCache::setBudgetBytes(std::uint64_t bytes)
     std::lock_guard<std::mutex> lock(mutex_);
     budget_bytes_ = bytes;
     evictOverBudget();
+    chunks_.setLimit(bytes);
 }
 
 std::uint64_t
@@ -250,7 +305,7 @@ TraceCache::stats() const
     out.evictions = evictions_.load(std::memory_order_relaxed);
     out.bypasses = bypasses_.load(std::memory_order_relaxed);
     out.buffers = buffers_.size();
-    out.bytes = bytes_.load(std::memory_order_relaxed);
+    out.bytes = chunks_.liveBytes();
     out.records_generated =
         records_generated_.load(std::memory_order_relaxed);
     return out;
@@ -270,6 +325,7 @@ TraceCache::clear()
             ++it;
         }
     }
+    chunks_.clear();
     hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
     evictions_.store(0, std::memory_order_relaxed);
@@ -277,10 +333,31 @@ TraceCache::clear()
     records_generated_.store(0, std::memory_order_relaxed);
 }
 
-TraceCache::Plan::Plan(TraceCache &cache, std::vector<TraceDemand> systems)
-    : cache_(cache), systems_(std::move(systems))
+TraceCache::Plan::Plan(TraceCache &cache,
+                       const std::vector<TraceDemand> &systems)
+    : cache_(cache)
 {
-    std::sort(systems_.begin(), systems_.end(), StreamLess{});
+    std::vector<Use> uses;
+    for (const TraceDemand &d : systems) {
+        const std::uint64_t pinned = std::uint64_t{d.cores} * d.records *
+                                     TraceBuffer::kRecordBytes;
+        for (CoreId core = 0; core < d.cores; ++core) {
+            uses.push_back(
+                {Key{d.workload, core, d.seed, d.translated}, 1, 0, pinned});
+        }
+    }
+    std::sort(uses.begin(), uses.end(), [](const Use &a, const Use &b) {
+        return keyLess(a.key, b.key);
+    });
+    for (Use &u : uses) {
+        if (!uses_.empty() && uses_.back().key == u.key) {
+            uses_.back().systems += u.systems;
+            uses_.back().pinned_bytes =
+                std::max(uses_.back().pinned_bytes, u.pinned_bytes);
+        } else {
+            uses_.push_back(std::move(u));
+        }
+    }
     std::lock_guard<std::mutex> lock(cache_.mutex_);
     next_ = cache_.plans_;
     cache_.plans_ = this;

@@ -2,17 +2,24 @@
  * @file
  * Tests for the generic set-associative table: tag matching, LRU
  * replacement, predicate scans, and capacity invariants under random
- * traffic.
+ * traffic; and for the ZeroedArray under it: zero until written, and
+ * a large one costs memory only for written pages, returned on
+ * destruction.
  */
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "common/sim_check.hpp"
 #include "common/table.hpp"
+#include "common/zeroed_array.hpp"
 
 namespace bingo
 {
@@ -122,6 +129,116 @@ TEST(SetAssocTable, ClearEmptiesEverything)
     table.insert(1, 2, 2);
     table.clear();
     EXPECT_EQ(table.occupancy(), 0u);
+    EXPECT_EQ(table.find(0, 1), nullptr);
+    // A cleared table allocates fresh storage on its next write.
+    table.insert(1, 2, 5);
+    ASSERT_NE(table.find(1, 2), nullptr);
+    EXPECT_EQ(table.find(1, 2)->data, 5);
+    EXPECT_EQ(table.occupancy(), 1u);
+}
+
+TEST(ZeroedArray, StartsZeroAndMoves)
+{
+    // One array from the heap, one on pages of its own.
+    for (const std::size_t size :
+         {std::size_t{1} << 10, std::size_t{1} << 18}) {
+        ZeroedArray<std::uint64_t> a(size);
+        ASSERT_EQ(a.size(), size);
+        EXPECT_EQ(a.ownsPages(),
+                  size * 8 >= ZeroedArray<int>::kOwnPagesBytes);
+        for (std::size_t i = 0; i < a.size(); i += 511)
+            ASSERT_EQ(a[i], 0u) << i;
+        a[123] = 7;
+
+        ZeroedArray<std::uint64_t> b(std::move(a));
+        EXPECT_TRUE(a.empty());
+        EXPECT_EQ(a.data(), nullptr);
+        EXPECT_EQ(b[123], 7u);
+
+        ZeroedArray<std::uint64_t> c;
+        EXPECT_TRUE(c.empty());
+        c = std::move(b);
+        EXPECT_TRUE(b.empty());
+        EXPECT_EQ(c[123], 7u);
+        EXPECT_EQ(c.end() - c.begin(), static_cast<long>(c.size()));
+    }
+}
+
+/** Resident set of this process in bytes, from /proc/self/statm. */
+std::uint64_t
+residentBytes()
+{
+    unsigned long long size = 0, resident = 0;
+    std::FILE *f = std::fopen("/proc/self/statm", "r");
+    if (f == nullptr)
+        return 0;
+    const int got = std::fscanf(f, "%llu %llu", &size, &resident);
+    std::fclose(f);
+    return got == 2 ? resident * static_cast<std::uint64_t>(
+                                     ::sysconf(_SC_PAGESIZE))
+                    : 0;
+}
+
+TEST(ZeroedArray, LargeArrayCostsOnlyWrittenPages)
+{
+    if (residentBytes() == 0)
+        GTEST_SKIP() << "no /proc/self/statm";
+    constexpr std::uint64_t kMiB = 1024 * 1024;
+    constexpr std::size_t kBytes = 64 * kMiB;
+    const std::uint64_t base = residentBytes();
+    {
+        ZeroedArray<unsigned char> pages(kBytes);
+        // Reading unwritten pages costs nothing either.
+        unsigned sum = 0;
+        for (std::size_t i = 0; i < kBytes; i += 4096)
+            sum += pages[i];
+        EXPECT_EQ(sum, 0u);
+        EXPECT_LT(residentBytes(), base + 4 * kMiB);
+
+        for (std::size_t i = 0; i < kBytes / 2; i += 4096)
+            pages[i] = 1;
+        EXPECT_GE(residentBytes(), base + 28 * kMiB);
+    }
+    EXPECT_LT(residentBytes(), base + 4 * kMiB);
+}
+
+/** Minor page faults this process has taken so far. */
+long
+minorFaults()
+{
+    struct rusage usage = {};
+    ::getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+}
+
+TEST(SetAssocTable, LookupsStayOffUnwrittenSets)
+{
+    // 2^16 sets x 16 ways: 32 MB of entries and an 8 MB tag mirror on
+    // pages of their own. With one set written, scanning every other
+    // set must not touch their pages (each first read of a page is a
+    // page fault that maps a zero page).
+    constexpr std::size_t kSets = std::size_t{1} << 16;
+    SetAssocTable<std::uint64_t> table(kSets, 16);
+    table.insert(5, 0xaa, 1);
+    const auto any = [](const auto &) { return true; };
+    const long before = minorFaults();
+    std::size_t found = 0;
+    for (std::size_t set = 0; set < kSets; ++set) {
+        found += table.find(set, 0xaa, false) != nullptr;
+        found += table.countIf(set, any);
+    }
+    EXPECT_EQ(table.occupancy(), 1u);
+    EXPECT_LT(minorFaults() - before, 64);
+    EXPECT_EQ(found, 2u);
+
+    // A fresh set takes way 0; later inserts scan as usual.
+    table.insert(9, 0xbb, 2);
+    table.insert(9, 0xcc, 3);
+    table.insert(9, 0xbb, 4);
+    EXPECT_EQ(table.countIf(9, any), 2u);
+    EXPECT_EQ(table.find(9, 0xbb)->data, 4u);
+    EXPECT_EQ(&std::as_const(table).entryAt(9 * 16),
+              table.find(9, 0xbb));
 }
 
 TEST(SetAssocTable, SetIndexMasksToSetCount)

@@ -5,8 +5,8 @@
  * and miss when it should, the byte budget must evict only
  * unreferenced buffers, a sweep's plan must keep single-use and
  * over-budget streams out of the cache for exactly the sweep's
- * lifetime, and a whole simulation must not care whether the cache is
- * on or off.
+ * lifetime and let a stream's buffer go at its last planned use, and a
+ * whole simulation must not care whether the cache is on or off.
  */
 
 #include <gtest/gtest.h>
@@ -189,7 +189,48 @@ TEST_F(TraceCacheTest, TwoPlannedUsesMissThenHit)
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.bypasses, 1u);
-    EXPECT_EQ(stats.buffers, 1u);
+    // The hit was core 0's last planned use: the buffer left the
+    // cache and lives on in the two sources.
+    EXPECT_EQ(stats.buffers, 0u);
+}
+
+TEST_F(TraceCacheTest, LastPlannedUseLetsTheBufferGo)
+{
+    TraceCache &cache = TraceCache::instance();
+    const TraceCache::Plan plan(cache, {demand("em3d", 2),
+                                        demand("em3d", 2),
+                                        demand("em3d", 2)});
+    std::vector<std::unique_ptr<TraceSource>> sources;
+    for (int system = 0; system < 3; ++system) {
+        sources.push_back(cache.acquire("em3d", 0, 2, true));
+        sources.back()->next();
+        EXPECT_EQ(cache.stats().buffers, system < 2 ? 1u : 0u)
+            << "after use " << system + 1;
+    }
+    TraceCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 2u);
+    EXPECT_EQ(stats.bytes,
+              TraceBuffer::kChunkRecords * TraceBuffer::kRecordBytes);
+
+    // The last user still replays the shared records, past the point
+    // the others reached.
+    TranslatingSource direct(makeWorkload("em3d", 0, 2),
+                             AddressTranslator(2));
+    direct.next();
+    for (std::size_t i = 1; i < 20000; ++i)
+        expectSameRecord(sources.back()->next(), direct.next(), i);
+
+    // Its chunks are freed with the last source, not kept for later.
+    sources.clear();
+    EXPECT_EQ(cache.stats().bytes, 0u);
+
+    // A use past the planned three (a retried job) is served privately.
+    auto retry = cache.acquire("em3d", 0, 2, true);
+    stats = cache.stats();
+    EXPECT_EQ(stats.bypasses, 1u);
+    EXPECT_EQ(stats.misses + stats.hits, 3u);
+    EXPECT_EQ(stats.buffers, 0u);
 }
 
 TEST_F(TraceCacheTest, PlanOverBudgetBypassesEveryAcquisition)
@@ -216,9 +257,10 @@ TEST_F(TraceCacheTest, PlanOverBudgetBypassesEveryAcquisition)
 /**
  * The sweep runner plans every System it builds, baselines included,
  * and nothing after the sweep: a single-use stream bypasses, a stream
- * two jobs share misses then hits, and a 1-core job shares core 0 with
- * its 4-core baseline while cores 1-3 bypass. Once the sweep returns,
- * the single-use stream caches normally.
+ * two jobs share misses then hits (and leaves the cache with its last
+ * use), and a 1-core job shares core 0 with its 4-core baseline while
+ * cores 1-3 bypass. Once the sweep returns, the single-use stream
+ * caches normally.
  */
 TEST_F(TraceCacheTest, SweepPlanEndsWithTheSweep)
 {
@@ -245,6 +287,9 @@ TEST_F(TraceCacheTest, SweepPlanEndsWithTheSweep)
     EXPECT_EQ(stats.bypasses, 4u);
     EXPECT_EQ(stats.misses, 2u);
     EXPECT_EQ(stats.hits, 2u);
+    // Every shared stream met its last planned use inside the sweep.
+    EXPECT_EQ(stats.buffers, 0u);
+    EXPECT_EQ(stats.bytes, 0u);
 
     auto after = cache.acquire("Zeus", 0, 11, true);
     stats = cache.stats();
