@@ -192,20 +192,27 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
+/** Generation per record; items count instructions (a compute
+ *  record stands for a run of them). */
 void
 BM_WorkloadGeneration(benchmark::State &state)
 {
     auto source = makeWorkload("Data Serving", 0, 42);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(source->next());
-    state.SetItemsProcessed(state.iterations());
+    std::int64_t instructions = 0;
+    for (auto _ : state) {
+        const TraceRecord rec = source->next();
+        benchmark::DoNotOptimize(rec);
+        instructions += rec.count;
+    }
+    state.SetItemsProcessed(instructions);
 }
 BENCHMARK(BM_WorkloadGeneration);
 
 /**
  * Replaying an already-generated trace from the shared cache — the
  * per-job cost a sweep pays after the first run of a workload.
- * Compare against BM_WorkloadGeneration for the memoization win.
+ * Compare against BM_WorkloadGeneration for the memoization win; both
+ * count instructions as items.
  */
 void
 BM_TraceCacheHit(benchmark::State &state)
@@ -215,9 +222,12 @@ BM_TraceCacheHit(benchmark::State &state)
     std::array<TraceRecord, 256> batch;
     source->nextBatch(batch.data(), batch.size());  // Commit chunk 0.
     std::size_t reads = 1;
+    std::int64_t instructions = 0;
     for (auto _ : state) {
         source->nextBatch(batch.data(), batch.size());
         benchmark::DoNotOptimize(batch);
+        for (const TraceRecord &rec : batch)
+            instructions += rec.count;
         // Wrap within the committed chunk so the buffer never grows:
         // re-acquiring (a cache hit) rewinds the replay cursor.
         if (++reads * batch.size() >=
@@ -226,7 +236,7 @@ BM_TraceCacheHit(benchmark::State &state)
             reads = 0;
         }
     }
-    state.SetItemsProcessed(state.iterations() * batch.size());
+    state.SetItemsProcessed(instructions);
     state.SetLabel(cache.enabled() ? "cached" : "bypass");
 }
 BENCHMARK(BM_TraceCacheHit);

@@ -6,12 +6,13 @@
  * fraction. Useful when tuning generators or adding a new workload —
  * each column maps to a locality class the prefetchers react to.
  *
- * Usage: workload_explorer [records-per-workload]
+ * Usage: workload_explorer [instructions-per-workload]
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <algorithm>
 #include <map>
 #include <set>
 
@@ -26,7 +27,7 @@ main(int argc, char **argv)
     const int budget =
         argc > 1 ? std::atoi(argv[1]) : 400 * 1000;
 
-    std::printf("Workload characterization over %d records per "
+    std::printf("Workload characterization over %d instructions per "
                 "workload (core 0, seed 42)\n\n",
                 budget);
 
@@ -40,12 +41,12 @@ main(int argc, char **argv)
         int mem = 0;
         int sequential = 0;
         int dependent = 0;
-        for (int i = 0; i < budget; ++i) {
+        // A compute record stands for `count` instructions.
+        for (std::int64_t instructions = 0; instructions < budget;) {
             const TraceRecord rec = source->next();
-            if (rec.type != InstrType::Load &&
-                rec.type != InstrType::Store) {
+            instructions += rec.count;
+            if (!isMemory(rec.type))
                 continue;
-            }
             ++mem;
             dependent += rec.dependent;
             const Addr region = regionNumber(rec.addr);

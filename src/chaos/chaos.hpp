@@ -207,14 +207,15 @@ class ChaosEngine
 
 /**
  * Trace-corruption layer: wraps a core's raw source and bit-flips the
- * virtual address or PC of records at the chaos rate, before address
- * translation (so corruption lands anywhere in the 64-bit virtual
- * space and the translation layer's own guards stay exercised). The
- * instruction type is never touched — the stream stays well-formed;
- * the corruption models wrong *data*, not an undecodable trace.
- * Draws happen once per record, in stream order, whatever window
- * sizes the reader asks for, so the schedule depends only on the
- * record sequence.
+ * virtual address or PC of instructions at the chaos rate, before
+ * address translation (so corruption lands anywhere in the 64-bit
+ * virtual space and the translation layer's own guards stay
+ * exercised). The instruction type and count are never touched — the
+ * stream stays well-formed; the corruption models wrong *data*, not an
+ * undecodable trace. Draws happen once per instruction, in stream
+ * order, whatever window sizes the reader asks for and however compute
+ * runs are cut into counted records, so the schedule depends only on
+ * the instruction sequence.
  */
 class ChaosTraceSource : public TraceSource
 {
@@ -238,18 +239,22 @@ class ChaosTraceSource : public TraceSource
     }
 
   private:
+    /** One draw per instruction of `rec` (a flip in a compute run's
+     *  PC or address has no reader). */
     void
     maybeCorrupt(TraceRecord &rec)
     {
-        if (!rng_.chance(rate_))
-            return;
-        const std::uint64_t pick = rng_.next();
-        const unsigned bit = static_cast<unsigned>(rng_.below(64));
-        if (pick & 1)
-            rec.addr ^= 1ULL << bit;
-        else
-            rec.pc ^= 1ULL << bit;
-        ++*counter_;
+        for (std::uint32_t i = 0; i < rec.count; ++i) {
+            if (!rng_.chance(rate_))
+                continue;
+            const std::uint64_t pick = rng_.next();
+            const unsigned bit = static_cast<unsigned>(rng_.below(64));
+            if (pick & 1)
+                rec.addr ^= 1ULL << bit;
+            else
+                rec.pc ^= 1ULL << bit;
+            ++*counter_;
+        }
     }
 
     std::unique_ptr<TraceSource> inner_;

@@ -102,7 +102,19 @@ enum class InstrType : std::uint8_t
     Branch,  ///< Consumes a fetch slot; no memory access.
 };
 
-/** One record of a workload trace: an instruction and optional address. */
+/** Whether `type` accesses memory (a load or a store). */
+constexpr bool
+isMemory(InstrType type)
+{
+    return type == InstrType::Load || type == InstrType::Store;
+}
+
+/**
+ * One record of a workload trace: a memory instruction and its
+ * address, or a run of `count` consecutive non-memory instructions of
+ * one type. Compute runs dominate most streams, so counting them
+ * keeps a stream near one record per memory access.
+ */
 struct TraceRecord
 {
     Addr pc = 0;
@@ -115,7 +127,12 @@ struct TraceRecord
      * sweeps enjoy full memory-level parallelism.
      */
     bool dependent = false;
+    /// Instructions the record stands for: always 1 for a load or a
+    /// store, the run length for an Alu or Branch record.
+    std::uint32_t count = 1;
 };
+static_assert(sizeof(TraceRecord) == 24,
+              "the instruction count lives in TraceRecord's padding");
 
 } // namespace bingo
 

@@ -64,17 +64,6 @@ OooCore::step(Cycle now)
 }
 
 std::uint64_t
-OooCore::branchesAhead(std::uint32_t count) const
-{
-    std::uint64_t branches = 0;
-    for (const TraceRecord *rec = fetch_data_ + fetch_pos_,
-                           *end = rec + count;
-         rec != end; ++rec)
-        branches += rec->type == InstrType::Branch ? 1 : 0;
-    return branches;
-}
-
-std::uint64_t
 OooCore::readyIn(const RobEntry &entry, Cycle now) const
 {
     // kNeverCycle (a load in flight) is > now by construction, so one
@@ -112,7 +101,7 @@ OooCore::retireFront(std::uint64_t n)
     while (n > 0) {
         RobEntry &entry = rob_[rob_head_ & rob_mask_];
         if (n < entry.count) {
-            entry.count -= static_cast<std::uint32_t>(n);
+            entry.count -= n;
             entry.skip += n;
             return;
         }
@@ -135,7 +124,7 @@ OooCore::computeWake(Cycle now) const
         return kNeverCycle;  // Full behind an in-flight load.
 
     // Dispatch: the next memory record or the end of the lent window,
-    // after `run` non-memory records at no more than the width per
+    // after `run` non-memory instructions at no more than the width per
     // cycle. A ROB with room for the whole run makes that exact.
     // Otherwise retirement must first free `run + 1 - space` slots: if
     // an in-flight load comes first, only its fill lets dispatch get
@@ -195,7 +184,7 @@ OooCore::replay(Cycle through)
     const unsigned width = config_.width;
     // No memory record dispatches and no window is borrowed before the
     // wake (nextWakeCycle() wakes the core for both), so dispatch only
-    // takes non-memory records of the current run. A record held on a
+    // takes non-memory instructions of the current run. A record held on a
     // full LSQ stays held: only a callback frees the LSQ.
     const bool lsq_blocked =
         record_held_ && lsq_used_ >= config_.lsq_entries;
@@ -280,10 +269,33 @@ OooCore::replay(Cycle through)
 void
 OooCore::takeRun(Cycle now, std::uint64_t count)
 {
-    const auto n = static_cast<std::uint32_t>(count);
-    appendTimed(now, 0, n);
-    stats_.branches += branchesAhead(n);
-    fetch_pos_ += n;
+    appendTimed(now, 0, count);
+    advanceCompute(count);
+}
+
+std::uint64_t
+OooCore::advanceCompute(std::uint64_t limit)
+{
+    std::uint64_t passed = 0;
+    while (passed < limit && fetch_pos_ < fetch_end_) {
+        const TraceRecord &rec = fetch_data_[fetch_pos_];
+        if (isMemory(rec.type))
+            break;
+        const std::uint64_t left = rec.count - fetch_taken_;
+        const std::uint64_t n = std::min(limit - passed, left);
+        if (rec.type == InstrType::Branch)
+            stats_.branches += n;
+        passed += n;
+        if (n == left) {
+            ++fetch_pos_;
+            fetch_taken_ = 0;
+        } else {
+            fetch_taken_ += static_cast<std::uint32_t>(n);
+        }
+    }
+    if (run_known_)
+        run_left_ -= passed;
+    return passed;
 }
 
 void
@@ -330,7 +342,7 @@ OooCore::retire(Cycle now)
 }
 
 void
-OooCore::appendTimed(Cycle now, unsigned slot, std::uint32_t count)
+OooCore::appendTimed(Cycle now, unsigned slot, std::uint64_t count)
 {
     const Cycle done = now + config_.alu_latency;
     rob_count_ += count;
@@ -367,35 +379,23 @@ OooCore::dispatch(Cycle now)
                     TraceSource::kWindowRecords, got);
                 fetch_pos_ = 0;
                 fetch_end_ = static_cast<std::uint32_t>(got);
-                run_end_known_ = false;
+                fetch_taken_ = 0;
+                run_known_ = false;
             }
-            // Non-memory records dispatch as a run on to the ROB's
-            // timed run: ALU and branch latency are the same, and they
-            // touch neither the LSQ nor the dependent-load state. The
-            // run stops at the dispatch width, the next memory record,
-            // the window end and the free ROB slots; the loop then
-            // notes a full ROB or fetches the next window, so how the
-            // trace is cut into windows never shows in the result.
-            const std::uint64_t limit = std::min<std::uint64_t>(
-                {config_.width - dispatched, rob_space,
-                 fetch_end_ - fetch_pos_});
-            const TraceRecord *recs = fetch_data_ + fetch_pos_;
-            std::uint32_t take = 0;
-            std::uint64_t branches = 0;
-            for (; take < limit; ++take) {
-                const InstrType type = recs[take].type;
-                if (type == InstrType::Load || type == InstrType::Store) {
-                    run_end_ = fetch_pos_ + take;
-                    run_end_known_ = true;
-                    break;
-                }
-                branches += type == InstrType::Branch ? 1 : 0;
-            }
+            // Non-memory instructions dispatch as a run on to the
+            // ROB's timed run: ALU and branch latency are the same,
+            // and they touch neither the LSQ nor the dependent-load
+            // state. The run stops at the dispatch width, the next
+            // memory record, the window end and the free ROB slots;
+            // the loop then notes a full ROB or fetches the next
+            // window, so how the trace is cut into windows and
+            // counted records never shows in the result.
+            const std::uint64_t take = advanceCompute(
+                std::min<std::uint64_t>(config_.width - dispatched,
+                                        rob_space));
             if (take > 0) {
                 appendTimed(now, dispatched, take);
-                stats_.branches += branches;
-                fetch_pos_ += take;
-                dispatched += take;
+                dispatched += static_cast<unsigned>(take);
                 continue;
             }
             record_held_ = true;
@@ -449,7 +449,7 @@ OooCore::dispatch(Cycle now)
         }
         record_held_ = false;
         ++fetch_pos_;
-        run_end_known_ = false;
+        run_known_ = false;
         ++dispatched;
     }
 }

@@ -34,15 +34,21 @@ namespace bingo
 /**
  * Pull-based instruction stream feeding a core.
  *
+ * The stream is made of records, and a non-memory record stands for
+ * TraceRecord::count consecutive instructions of its type; windows,
+ * `want` and `got` all count records. Where records begin and end is
+ * part of the stream: a source yields the same records whatever
+ * window sizes its reader asks for.
+ *
  * borrowBatch() is the one read primitive: the source lends a window
  * of its next records. Sources that own their records (generator
- * bursts, interleaved sub-streams, a loaded trace file, a trace-cache
- * chunk) lend that storage in place. Layered sources that rewrite
- * records (address translation, chaos corruption) fill a window of
- * their own from the inner source and transform it there; filling it
- * whole hands a core reading a private generator 64-record windows
- * rather than one per generator burst. next() and nextBatch() are
- * plain copies through borrowBatch().
+ * bursts, a loaded trace file, a trace-cache chunk) lend that storage
+ * in place. Layered sources that rewrite records (the interleaver,
+ * address translation, chaos corruption) fill a window of their own
+ * from the inner source and transform it there; filling it whole
+ * hands a core reading a private generator windows of kWindowRecords
+ * records rather than one per generator burst. next() and nextBatch()
+ * are plain copies through borrowBatch().
  */
 class TraceSource
 {
@@ -217,7 +223,7 @@ class OooCore
     /**
      * One ROB entry. A load is an entry of its own, found again by its
      * sequence number when its fill lands. Every other instruction
-     * (non-memory records, and stores, which retire without waiting
+     * (non-memory instructions, and stores, which retire without waiting
      * for the write) is ready a fixed alu_latency after dispatch, so
      * instructions dispatched back to back at full width form one
      * counted *timed run*: its i-th remaining instruction is ready at
@@ -234,7 +240,7 @@ class OooCore
         /// remaining instruction: its dispatch slot, plus every
         /// instruction retired from the front since.
         std::uint64_t skip = 0;
-        std::uint32_t count = 0;  ///< Instructions in the entry.
+        std::uint64_t count = 0;  ///< Instructions in the entry.
         bool load = false;
         /// Dependent loads waiting for this load's data before issuing.
         std::vector<std::pair<std::uint64_t, MemAccess>> deferred;
@@ -247,10 +253,17 @@ class OooCore
     void replay(Cycle through);
 
     /**
-     * Dispatch the next `count` non-memory records of the window at
-     * full width from slot 0 of cycle `now` on (a replayed run).
+     * Dispatch the next `count` non-memory instructions of the window
+     * at full width from slot 0 of cycle `now` on (a replayed run).
      */
     void takeRun(Cycle now, std::uint64_t count);
+
+    /**
+     * Move the fetch cursor over up to `limit` non-memory instructions,
+     * stopping at a memory record or the window end, and count the
+     * branches among them. Returns the instructions passed.
+     */
+    std::uint64_t advanceCompute(std::uint64_t limit);
 
     /**
      * Add `count` instructions dispatched at cycle `now` from dispatch
@@ -258,7 +271,7 @@ class OooCore
      * when they continue its full-width cadence, and start a new run
      * otherwise.
      */
-    void appendTimed(Cycle now, unsigned slot, std::uint32_t count);
+    void appendTimed(Cycle now, unsigned slot, std::uint64_t count);
 
     /** Count `n` retirements at cycle `now` against the quota. */
     void countRetired(unsigned n, Cycle now);
@@ -280,26 +293,23 @@ class OooCore
     Cycle computeWake(Cycle now) const;
 
     /**
-     * Non-memory records dispatch can take before it reaches the next
-     * memory record or the end of the lent window.
+     * Non-memory instructions dispatch can take before it reaches the
+     * next memory record or the end of the lent window.
      */
-    std::uint32_t
+    std::uint64_t
     computeRunLength() const
     {
-        if (!run_end_known_) {
-            std::uint32_t pos = fetch_pos_;
-            while (pos < fetch_end_ &&
-                   fetch_data_[pos].type != InstrType::Load &&
-                   fetch_data_[pos].type != InstrType::Store)
-                ++pos;
-            run_end_ = pos;
-            run_end_known_ = true;
+        if (!run_known_) {
+            std::uint64_t run = 0;
+            for (std::uint32_t pos = fetch_pos_;
+                 pos < fetch_end_ && !isMemory(fetch_data_[pos].type);
+                 ++pos)
+                run += fetch_data_[pos].count;
+            run_left_ = run - fetch_taken_;
+            run_known_ = true;
         }
-        return run_end_ - fetch_pos_;
+        return run_left_;
     }
-
-    /** Branches among the next `count` records of the window. */
-    std::uint64_t branchesAhead(std::uint32_t count) const;
 
     /**
      * Whether an in-flight load sits among the `n` oldest instructions
@@ -379,15 +389,18 @@ class OooCore
     const TraceRecord *fetch_data_ = nullptr;
     std::uint32_t fetch_pos_ = 0;  ///< Next unconsumed window slot.
     std::uint32_t fetch_end_ = 0;  ///< One past the last valid slot.
+    /// Instructions of the compute record at fetch_pos_ already
+    /// dispatched: the sub-record cursor.
+    std::uint32_t fetch_taken_ = 0;
     /// Dispatch reached fetch_data_[fetch_pos_] but could not place
     /// it: always a memory record blocked on a full LSQ.
     bool record_held_ = false;
-    /// Cache of computeRunLength(): the window slot of the next memory
-    /// record at or after fetch_pos_ (fetch_end_ if none), found by
-    /// dispatch or by a lazy scan. Only a new window or a memory
-    /// dispatch moves it, so each record is scanned about once.
-    mutable std::uint32_t run_end_ = 0;
-    mutable bool run_end_known_ = false;
+    /// Cache of computeRunLength(), found by a lazy scan and counted
+    /// down as the cursor passes compute instructions. Only a new
+    /// window or a memory dispatch drops it, so each record is
+    /// scanned about once.
+    mutable std::uint64_t run_left_ = 0;
+    mutable bool run_known_ = false;
 
     /// A completion callback arrived since the last step (see
     /// wakeDirty()). Starts true so a fresh core is always stepped.

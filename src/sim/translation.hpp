@@ -74,10 +74,8 @@ class TranslatingSource : public TraceSource
         inner_->nextBatch(window_.data(), got);
         for (std::size_t i = 0; i < got; ++i) {
             TraceRecord &rec = window_[i];
-            if (rec.type == InstrType::Load ||
-                rec.type == InstrType::Store) {
+            if (isMemory(rec.type))
                 rec.addr = translator_.translate(rec.addr);
-            }
         }
         return window_.data();
     }

@@ -1,5 +1,6 @@
 #include "workload/generator.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace bingo
@@ -8,10 +9,9 @@ namespace bingo
 InterleavedSource::InterleavedSource(
     std::vector<std::unique_ptr<TraceSource>> sources, unsigned min_run,
     unsigned max_run, std::uint64_t seed, bool strict)
-    : sources_(std::move(sources)), min_run_(min_run),
-      max_run_(max_run), rng_(seed), strict_(strict)
+    : min_run_(min_run), max_run_(max_run), rng_(seed), strict_(strict)
 {
-    if (sources_.empty()) {
+    if (sources.empty()) {
         throw std::invalid_argument(
             "InterleavedSource needs at least one source");
     }
@@ -20,21 +20,59 @@ InterleavedSource::InterleavedSource(
             "InterleavedSource run bounds must satisfy "
             "1 <= min_run <= max_run");
     }
+    lanes_.reserve(sources.size());
+    for (std::unique_ptr<TraceSource> &source : sources)
+        lanes_.push_back(Lane{std::move(source)});
+}
+
+TraceRecord
+InterleavedSource::nextPiece()
+{
+    if (remaining_ == 0) {
+        current_ = strict_ ? (current_ + 1) % lanes_.size()
+                           : rng_.below(lanes_.size());
+        remaining_ = static_cast<unsigned>(
+            rng_.range(min_run_, max_run_));
+    }
+    Lane &lane = lanes_[current_];
+    if (lane.pos == lane.end) {
+        lane.window = lane.source->borrowBatch(kWindowRecords, lane.end);
+        lane.pos = 0;
+    }
+    TraceRecord piece = lane.window[lane.pos];
+    const std::uint32_t left = piece.count - lane.taken;
+    piece.count = std::min<std::uint32_t>(left, remaining_);
+    remaining_ -= piece.count;
+    if (piece.count == left) {
+        ++lane.pos;
+        lane.taken = 0;
+    } else {
+        lane.taken += piece.count;
+    }
+    return piece;
 }
 
 const TraceRecord *
 InterleavedSource::borrowBatch(std::size_t want, std::size_t &got)
 {
-    if (remaining_ == 0) {
-        current_ = strict_ ? (current_ + 1) % sources_.size()
-                           : rng_.below(sources_.size());
-        remaining_ = static_cast<unsigned>(
-            rng_.range(min_run_, max_run_));
+    want = std::min(want, window_.size());
+    for (got = 0; got < want; ++got) {
+        TraceRecord rec = ahead_.count > 0 ? ahead_ : nextPiece();
+        ahead_.count = 0;
+        if (!isMemory(rec.type)) {
+            for (;;) {
+                ahead_ = nextPiece();
+                if (ahead_.type != rec.type ||
+                    std::uint64_t{rec.count} + ahead_.count >
+                        kMaxMergedCount)
+                    break;
+                rec.count += ahead_.count;
+                ahead_.count = 0;
+            }
+        }
+        window_[got] = rec;
     }
-    const TraceRecord *window = sources_[current_]->borrowBatch(
-        std::min<std::size_t>(want, remaining_), got);
-    remaining_ -= static_cast<unsigned>(got);
-    return window;
+    return window_.data();
 }
 
 std::vector<RecordClass>

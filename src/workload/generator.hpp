@@ -22,6 +22,7 @@
 #define BINGO_WORKLOAD_GENERATOR_HPP
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,40 +85,58 @@ class BurstSource : public TraceSource
         queue_.push_back(TraceRecord{pc, addr, InstrType::Store});
     }
 
-    /** Emit `count` non-memory instructions at synthetic PCs. */
+    /** Emit `count` non-memory instructions as one counted record. */
     void
     emitAlu(unsigned count)
     {
-        for (unsigned i = 0; i < count; ++i) {
+        if (count > 0) {
             queue_.push_back(
-                TraceRecord{kAluPcBase + (alu_pc_++ & 0xff) * 4, 0,
-                            InstrType::Alu});
+                TraceRecord{kAluPc, 0, InstrType::Alu, false, count});
         }
     }
 
     Rng rng_;
 
   private:
-    static constexpr Addr kAluPcBase = 0x7f0000;
+    /// Synthetic PC of compute records (nothing reads a non-memory PC).
+    static constexpr Addr kAluPc = 0x7f0000;
 
     /// Pending burst, consumed from `head_` and compacted when empty —
     /// a flat vector beats a deque on the per-record hot path.
     std::vector<TraceRecord> queue_;
     std::size_t head_ = 0;
-    std::uint64_t alu_pc_ = 0;
 };
 
 /**
  * Round-robin interleaver over several sub-sources, switching after a
- * random run length. Models concurrent request handling.
+ * random run length of instructions. Models concurrent request
+ * handling.
+ *
+ * A run can end inside a counted compute record: the record is split
+ * and its rest waits in its sub-stream for the next run there. Pieces
+ * are then merged, so every compute record the interleaver hands out
+ * is a maximal run of one type (up to kMaxMergedCount instructions).
+ * Record boundaries so depend only on the instruction stream, never on
+ * the window sizes a reader asks for.
  */
 class InterleavedSource : public TraceSource
 {
   public:
+    /// Instructions merged into one compute record at most, which
+    /// bounds the look-ahead on a stream of compute only.
+    static constexpr std::uint32_t kMaxMergedCount = 1u << 16;
+    /// Records one borrow lends at most; the layers above fill their
+    /// own windows over several borrows. With a kWindowRecords window
+    /// here (6 KB per core), perfbench cold-compute's setup_s read
+    /// 1.10x, slower in 10 of 10 pairs, as more of its samples landed
+    /// in their slow mode; construction alone timed no slower, and
+    /// the cause is not known.
+    static constexpr std::size_t kMergeWindowRecords = 32;
+
     /**
      * @param sources Sub-streams to interleave.
-     * @param min_run,max_run Records taken from one sub-stream before
-     *        switching.
+     * @param min_run,max_run Instructions taken from one sub-stream
+     *        before switching.
      * @param strict Strict round-robin instead of random selection.
      *        Random selection lets sub-stream progress drift apart (a
      *        random walk), which is right for independent requests;
@@ -130,21 +149,43 @@ class InterleavedSource : public TraceSource
                       std::uint64_t seed, bool strict = false);
 
     /**
-     * Lends a window of the current sub-stream, clipped at the end of
-     * its run; run selection draws happen when the next record is
-     * needed, exactly as record-by-record reading would draw them.
+     * Fills a window of its own with merged records. A compute record
+     * is complete once the piece after it is known, so the source
+     * reads one piece ahead after each.
      */
     const TraceRecord *borrowBatch(std::size_t want,
                                    std::size_t &got) override;
 
   private:
-    std::vector<std::unique_ptr<TraceSource>> sources_;
+    /** One sub-stream and the unread part of the window it lent. */
+    struct Lane
+    {
+        std::unique_ptr<TraceSource> source;
+        const TraceRecord *window = nullptr;
+        std::size_t pos = 0;
+        std::size_t end = 0;
+        /// Instructions of window[pos] already handed out.
+        std::uint32_t taken = 0;
+    };
+
+    /**
+     * The next piece of the interleaved stream: the current run's
+     * sub-stream's next record, clipped at the run's end. Draws the
+     * next run when the current one is spent.
+     */
+    TraceRecord nextPiece();
+
+    std::vector<Lane> lanes_;
     unsigned min_run_;
     unsigned max_run_;
     Rng rng_;
     bool strict_;
     std::size_t current_ = 0;
     unsigned remaining_ = 0;
+    /// The piece read ahead past the last compute record handed out;
+    /// count 0 when there is none.
+    TraceRecord ahead_{0, 0, InstrType::Alu, false, 0};
+    std::array<TraceRecord, kMergeWindowRecords> window_;
 };
 
 /**

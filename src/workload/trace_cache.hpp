@@ -55,9 +55,10 @@
  *   reads generator output without the buffer fill; so are
  *   acquisitions past the planned count (a retried job).
  * - Budget: a stream whose largest planned System would pin more than
- *   the budget — cores x (warm-up + measure) records x 24 bytes — is
- *   always served privately: a pinned buffer cannot be evicted, so
- *   caching it would overshoot.
+ *   the budget — cores x (warm-up + measure) instructions x 24 bytes,
+ *   as if every record stood for one instruction — is always served
+ *   privately: a pinned buffer cannot be evicted, so caching it would
+ *   overshoot.
  * - Unplanned acquisitions (direct System construction, examples,
  *   bingo_worker jobs) are cached exactly as without a plan.
  * Every private-generator acquisition counts in
@@ -139,7 +140,8 @@ struct TraceDemand
     bool translated = true;
     /// Cores 0..cores-1 each acquire one stream.
     unsigned cores = 1;
-    /// Records each core replays: warm-up + measure instructions.
+    /// Instructions each core replays (warm-up + measure): a bound on
+    /// its records, which may each stand for a run of instructions.
     std::uint64_t records = 0;
 };
 

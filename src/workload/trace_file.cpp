@@ -49,12 +49,16 @@ writeTrace(const std::string &path,
         throw std::runtime_error("cannot open trace for writing: " +
                                  path);
     try {
+        // The format has no count field: a counted compute record is
+        // written as that many one-instruction records.
         for (const TraceRecord &rec : records) {
-            putU64(f, rec.pc);
-            putU64(f, rec.addr);
-            const auto type = static_cast<unsigned char>(rec.type);
-            if (std::fwrite(&type, 1, 1, f) != 1)
-                throw std::runtime_error("trace write failed");
+            for (std::uint32_t i = 0; i < rec.count; ++i) {
+                putU64(f, rec.pc);
+                putU64(f, rec.addr);
+                const auto type = static_cast<unsigned char>(rec.type);
+                if (std::fwrite(&type, 1, 1, f) != 1)
+                    throw std::runtime_error("trace write failed");
+            }
         }
     } catch (...) {
         std::fclose(f);

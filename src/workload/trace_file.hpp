@@ -3,10 +3,10 @@
  * On-disk trace support: lets downstream users drive the simulator with
  * their own traces instead of the synthetic generators.
  *
- * The format is a flat sequence of 17-byte little-endian records:
- * pc (8) | addr (8) | type (1, InstrType). FileTraceSource loads the
- * file once and replays it cyclically (traces are typically much
- * shorter than a simulation run).
+ * The format is a flat sequence of 17-byte little-endian records, one
+ * per instruction: pc (8) | addr (8) | type (1, InstrType).
+ * FileTraceSource loads the file once and replays it cyclically
+ * (traces are typically much shorter than a simulation run).
  */
 
 #ifndef BINGO_WORKLOAD_TRACE_FILE_HPP
@@ -46,7 +46,11 @@ class TraceFormatError : public std::runtime_error
     std::uint64_t byte_offset_;
 };
 
-/** Write `records` to `path`. Throws std::runtime_error on I/O error. */
+/**
+ * Write `records` to `path`, one file record per instruction (a
+ * counted record is repeated `count` times). Throws std::runtime_error
+ * on I/O error.
+ */
 void writeTrace(const std::string &path,
                 const std::vector<TraceRecord> &records);
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "core/ooo_core.hpp"
@@ -458,9 +459,10 @@ class RandomLatencyLower : public MemoryLower
 };
 
 /**
- * A random script: runs of 0-300 ALU and branch records between
- * loads, stores and dependent loads over a small block pool (so L1
- * hits, misses and MSHR merges all occur).
+ * A random script, one record per instruction: runs of 0-300 ALU and
+ * branch instructions (in stretches of one type, as a trace file's
+ * branch runs come) between loads, stores and dependent loads over a
+ * small block pool (so L1 hits, misses and MSHR merges all occur).
  */
 std::vector<TraceRecord>
 randomScript(Rng &rng, std::size_t records)
@@ -468,8 +470,11 @@ randomScript(Rng &rng, std::size_t records)
     std::vector<TraceRecord> script;
     while (script.size() < records) {
         const std::uint64_t run = rng.chance(0.3) ? 0 : rng.range(0, 300);
+        bool branch = false;
         for (std::uint64_t i = 0; i < run; ++i) {
-            script.push_back(rng.chance(0.2)
+            if (rng.chance(0.1))
+                branch = !branch;
+            script.push_back(branch
                                  ? TraceRecord{0x500, 0, InstrType::Branch}
                                  : alu());
         }
@@ -581,6 +586,9 @@ TEST(CoreReference, WakeAndReplayMatchPerCycleStepping)
             rng.chance(0.3) ? TraceSource::kWindowRecords
                             : rng.range(1, TraceSource::kWindowRecords);
         const std::vector<TraceRecord> script = randomScript(rng, 12000);
+        // The same instructions in counted records, cut at random
+        // points, lent in windows of the same record count.
+        const std::vector<TraceRecord> counted = test::countRuns(script, rng);
         const std::uint64_t seed = rng.next();
         SCOPED_TRACE("trial " + std::to_string(trial) + ": width " +
                      std::to_string(config.width) + ", rob " +
@@ -591,13 +599,24 @@ TEST(CoreReference, WakeAndReplayMatchPerCycleStepping)
 
         const CoreRun stepped = runCore(config, script, window, seed, false);
         const CoreRun skipped = runCore(config, script, window, seed, true);
-        ASSERT_EQ(stepped.accesses.size(), skipped.accesses.size());
-        EXPECT_TRUE(stepped.accesses == skipped.accesses);
-        EXPECT_EQ(stepped.stats, skipped.stats);
-        EXPECT_EQ(stepped.completions, skipped.completions);
+        const CoreRun counted_stepped =
+            runCore(config, counted, window, seed, false);
+        const CoreRun counted_skipped =
+            runCore(config, counted, window, seed, true);
+        for (const auto &[run, label] :
+             {std::pair{&skipped, "skipping"},
+              std::pair{&counted_stepped, "counted, stepped"},
+              std::pair{&counted_skipped, "counted, skipping"}}) {
+            SCOPED_TRACE(label);
+            ASSERT_EQ(stepped.accesses.size(), run->accesses.size());
+            EXPECT_TRUE(stepped.accesses == run->accesses);
+            EXPECT_EQ(stepped.stats, run->stats);
+            EXPECT_EQ(stepped.completions, run->completions);
+        }
         EXPECT_EQ(stepped.borrows, skipped.borrows);
-        stepped_steps += stepped.steps;
-        skipped_steps += skipped.steps;
+        EXPECT_EQ(counted_stepped.borrows, counted_skipped.borrows);
+        stepped_steps += stepped.steps + counted_stepped.steps;
+        skipped_steps += skipped.steps + counted_skipped.steps;
     }
     // The protocol must actually skip, or the comparison shows nothing.
     EXPECT_LT(skipped_steps * 2, stepped_steps);

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "common/rng.hpp"
+#include "test_util.hpp"
 #include "workload/trace_file.hpp"
 
 namespace bingo
@@ -60,6 +61,31 @@ TEST_F(TraceFileTest, RoundTrip)
         EXPECT_EQ(read[i].addr, records[i].addr);
         EXPECT_EQ(static_cast<int>(read[i].type),
                   static_cast<int>(records[i].type));
+    }
+}
+
+TEST_F(TraceFileTest, CountedRecordsRoundTripAsTheirInstructions)
+{
+    // The format has no count field: a counted run is written as that
+    // many one-instruction records, so replay sees the same
+    // instructions.
+    std::vector<TraceRecord> records = {
+        {0x400, 0x1000, InstrType::Load},
+        {0x408, 0, InstrType::Alu},
+        {0x40c, 0, InstrType::Branch},
+        {0x404, 0x2040, InstrType::Store},
+        {0x408, 0, InstrType::Alu},
+    };
+    records[1].count = 5;
+    records[2].count = 3;
+    writeTrace(path_, records);
+    const std::vector<TraceRecord> read = readTrace(path_);
+    const std::vector<TraceRecord> expected = test::expandCounts(records);
+    ASSERT_EQ(read.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_TRUE(test::sameInstruction(read[i], expected[i]))
+            << "instruction " << i;
+        EXPECT_EQ(read[i].count, 1u);
     }
 }
 

@@ -5,7 +5,9 @@
  * nextBatch() are copies through it. How a source cuts its stream
  * into windows must never show: a core fed through windows of any
  * size ends in the same state, and every read path yields the same
- * records from every kind of source.
+ * records from every kind of source. Nor may how compute runs are cut
+ * into counted records: the core, the interleaver and the chaos layer
+ * treat a counted record as the instructions it stands for.
  */
 
 #include <gtest/gtest.h>
@@ -121,8 +123,8 @@ struct RunState
  * single-core System's L1D, LLC and DRAM, stepped cycle by cycle like
  * System's stepped loop. Built from the components rather than through
  * System, because System wraps caller-provided sources in a
- * TranslatingSource, which fills a 64-record window of its own: the
- * core would see 64-record windows whatever the source lends.
+ * TranslatingSource, which fills a window of its own: the core would
+ * see kWindowRecords-record windows whatever the source lends.
  */
 RunState
 runWindowed(const std::vector<TraceRecord> &stream, std::size_t window)
@@ -162,16 +164,153 @@ TEST(TraceWindow, WindowSizeNeverChangesASimulation)
     EXPECT_GT(reference.llc.demand_misses, 0u);
     EXPECT_GT(reference.llc.writebacks + reference.l1d.writebacks, 0u);
 
-    for (const std::size_t window : {1, 3, 7}) {
-        const RunState run = runWindowed(stream, window);
-        SCOPED_TRACE("window " + std::to_string(window));
-        EXPECT_EQ(test::counterMap(run.core),
-                  test::counterMap(reference.core));
-        EXPECT_EQ(run.now, reference.now);
-        EXPECT_EQ(test::counterMap(run.l1d),
-                  test::counterMap(reference.l1d));
-        EXPECT_EQ(test::counterMap(run.llc),
-                  test::counterMap(reference.llc));
+    // The same instructions with compute runs in counted records.
+    Rng cut(23);
+    const std::vector<TraceRecord> counted = test::countRuns(stream, cut);
+    ASSERT_LT(counted.size() * 2, stream.size());
+    for (const auto &[records, label] :
+         {std::pair{&stream, "one record per instruction"},
+          std::pair{&counted, "counted"}}) {
+        for (const std::size_t window : {1, 3, 7, 64}) {
+            if (records == &stream && window == 64)
+                continue;  // The reference itself.
+            const RunState run = runWindowed(*records, window);
+            SCOPED_TRACE(std::string(label) + ", window " +
+                         std::to_string(window));
+            EXPECT_EQ(test::counterMap(run.core),
+                      test::counterMap(reference.core));
+            EXPECT_EQ(run.now, reference.now);
+            EXPECT_EQ(test::counterMap(run.l1d),
+                      test::counterMap(reference.l1d));
+            EXPECT_EQ(test::counterMap(run.llc),
+                      test::counterMap(reference.llc));
+        }
+    }
+}
+
+/**
+ * The instructions of the first `records` records `source` lends in
+ * windows of random size (1..kWindowRecords), one record each.
+ */
+std::vector<TraceRecord>
+readInstructions(TraceSource &source, std::size_t records, Rng &rng)
+{
+    std::vector<TraceRecord> lent;
+    while (lent.size() < records) {
+        std::size_t got = 0;
+        const TraceRecord *window = source.borrowBatch(
+            std::min<std::size_t>(rng.range(1, TraceSource::kWindowRecords),
+                                  records - lent.size()),
+            got);
+        lent.insert(lent.end(), window, window + got);
+    }
+    return test::expandCounts(lent);
+}
+
+/** Index of the first instruction `a` and `b` differ in, or n. */
+std::size_t
+firstDifferentInstruction(const std::vector<TraceRecord> &a,
+                          const std::vector<TraceRecord> &b,
+                          std::size_t n)
+{
+    std::size_t i = 0;
+    while (i < n && test::sameInstruction(a[i], b[i]))
+        ++i;
+    return i;
+}
+
+/**
+ * Three sub-streams for the interleaver: mixed streams in counted
+ * records and their one-record-per-instruction expansions.
+ */
+struct SubStreams
+{
+    std::vector<std::vector<TraceRecord>> counted;
+    std::vector<std::vector<TraceRecord>> expanded;
+
+    explicit SubStreams(Rng &rng)
+    {
+        for (std::uint64_t s = 0; s < 3; ++s) {
+            expanded.push_back(mixedStream(20000, 100 + s));
+            counted.push_back(test::countRuns(expanded.back(), rng));
+        }
+    }
+
+    /** An interleaver over lenders of `streams` in `window`s. */
+    static InterleavedSource
+    interleave(const std::vector<std::vector<TraceRecord>> &streams,
+               std::size_t window, unsigned min_run, unsigned max_run)
+    {
+        std::vector<std::unique_ptr<TraceSource>> subs;
+        for (const std::vector<TraceRecord> &stream : streams)
+            subs.push_back(std::make_unique<WindowedSource>(stream, window));
+        return InterleavedSource(std::move(subs), min_run, max_run, 77);
+    }
+};
+
+TEST(TraceWindow, InterleaverCountsRunsInInstructions)
+{
+    Rng rng(31);
+    const SubStreams subs(rng);
+    for (const auto &[min_run, max_run] :
+         {std::pair{1u, 1u}, std::pair{1u, 40u}, std::pair{30u, 400u}}) {
+        SCOPED_TRACE("runs " + std::to_string(min_run) + "-" +
+                     std::to_string(max_run));
+        InterleavedSource counted = SubStreams::interleave(
+            subs.counted, rng.range(1, 64), min_run, max_run);
+        InterleavedSource expanded = SubStreams::interleave(
+            subs.expanded, rng.range(1, 64), min_run, max_run);
+        const std::vector<TraceRecord> a =
+            readInstructions(counted, 4000, rng);
+        const std::vector<TraceRecord> b =
+            readInstructions(expanded, a.size(), rng);
+        ASSERT_GE(b.size(), a.size());
+        EXPECT_EQ(firstDifferentInstruction(a, b, a.size()), a.size());
+
+        // Record boundaries are the stream's, not the reader's: window
+        // sizes change neither where records end nor their counts.
+        InterleavedSource one_by_one = SubStreams::interleave(
+            subs.counted, 1, min_run, max_run);
+        InterleavedSource again = SubStreams::interleave(
+            subs.counted, 5, min_run, max_run);
+        std::vector<TraceRecord> windows(3000);
+        again.nextBatch(windows.data(), windows.size());
+        for (std::size_t i = 0; i < windows.size(); ++i) {
+            const TraceRecord rec = one_by_one.next();
+            ASSERT_TRUE(test::sameInstruction(rec, windows[i]) &&
+                        rec.count == windows[i].count)
+                << "record " << i;
+            // Compute records are maximal runs of their type.
+            if (i > 0 && !isMemory(rec.type)) {
+                EXPECT_NE(windows[i - 1].type, rec.type) << "record " << i;
+            }
+        }
+    }
+}
+
+TEST(TraceWindow, ChaosDrawsPerInstruction)
+{
+    Rng rng(37);
+    const std::vector<TraceRecord> expanded = mixedStream(60000, 41);
+    const std::vector<TraceRecord> counted = test::countRuns(expanded, rng);
+    for (int trial = 0; trial < 4; ++trial) {
+        std::uint64_t counted_faults = 0;
+        std::uint64_t expanded_faults = 0;
+        chaos::ChaosTraceSource a(
+            std::make_unique<WindowedSource>(counted, rng.range(1, 300)),
+            0.01, 5 + trial, &counted_faults);
+        chaos::ChaosTraceSource b(
+            std::make_unique<WindowedSource>(expanded, rng.range(1, 300)),
+            0.01, 5 + trial, &expanded_faults);
+        const std::vector<TraceRecord> got_a =
+            readInstructions(a, 5000 + 3000 * trial, rng);
+        const std::vector<TraceRecord> got_b =
+            readInstructions(b, got_a.size(), rng);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        EXPECT_EQ(firstDifferentInstruction(got_a, got_b, got_a.size()),
+                  got_a.size());
+        EXPECT_EQ(counted_faults, expanded_faults);
+        EXPECT_GT(counted_faults, 0u);
     }
 }
 
@@ -219,7 +358,8 @@ firstDifference(const std::vector<TraceRecord> &a,
     std::size_t i = 0;
     for (; i < a.size() && i < b.size(); ++i) {
         if (a[i].pc != b[i].pc || a[i].addr != b[i].addr ||
-            a[i].type != b[i].type || a[i].dependent != b[i].dependent)
+            a[i].type != b[i].type || a[i].dependent != b[i].dependent ||
+            a[i].count != b[i].count)
             break;
     }
     return i;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/ooo_core.hpp"
@@ -109,6 +110,53 @@ inline TraceRecord
 alu()
 {
     return TraceRecord{0x1000, 0, InstrType::Alu};
+}
+
+/**
+ * `records` with every counted record written out as `count`
+ * one-instruction records: the stream a pre-counting generator made.
+ */
+inline std::vector<TraceRecord>
+expandCounts(const std::vector<TraceRecord> &records)
+{
+    std::vector<TraceRecord> out;
+    for (const TraceRecord &rec : records) {
+        TraceRecord one = rec;
+        one.count = 1;
+        out.insert(out.end(), rec.count, one);
+    }
+    return out;
+}
+
+/**
+ * The same instructions as `records` in counted records: each run of
+ * one compute type is cut at random points (one in ten instructions
+ * starts a new record).
+ */
+inline std::vector<TraceRecord>
+countRuns(const std::vector<TraceRecord> &records, Rng &rng)
+{
+    std::vector<TraceRecord> out;
+    for (const TraceRecord &rec : records) {
+        if (!out.empty() && !isMemory(rec.type) &&
+            out.back().type == rec.type && !rng.chance(0.1))
+            out.back().count += rec.count;
+        else
+            out.push_back(rec);
+    }
+    return out;
+}
+
+/**
+ * Whether two one-instruction records are the same instruction as the
+ * simulator sees it: type and dependent flag, and a memory
+ * instruction's PC and address (nothing reads a compute PC).
+ */
+inline bool
+sameInstruction(const TraceRecord &a, const TraceRecord &b)
+{
+    return a.type == b.type && a.dependent == b.dependent &&
+           (!isMemory(a.type) || (a.pc == b.pc && a.addr == b.addr));
 }
 
 /** Byte address of block `n` within region `region`. */
